@@ -240,17 +240,29 @@ def make_cell(
     supply: str = "compiled",
     trace: Optional[str] = None,
 ) -> SimCell:
-    """Build a :class:`SimCell`, filling library defaults for blanks."""
+    """Build a :class:`SimCell`, filling library defaults for blanks.
+
+    Inputs are checked here, so a bad cell fails where it is made rather
+    than inside a worker's ``simulate``.
+    """
     if supply not in ("compiled", "live"):
         raise ExperimentError(
             f"unknown supply kind {supply!r}; known: compiled, live "
             "(pass trace= for a trace-backed cell)"
         )
+    spec = _checked_spec(benchmark, controller_spec)
+    if instructions is None:
+        instructions = default_instructions()
+    elif instructions <= 0:
+        raise ExperimentError(
+            f"cell {benchmark}/{spec!r}: instructions must be positive, "
+            f"got {instructions}"
+        )
     return SimCell(
         benchmark=benchmark,
-        controller_spec=tuple(controller_spec),
+        controller_spec=spec,
         config=config or table3_config(),
-        instructions=instructions or default_instructions(),
+        instructions=instructions,
         warmup=default_warmup() if warmup is None else warmup,
         seed=seed,
         clock_gating=clock_gating,
@@ -258,6 +270,23 @@ def make_cell(
         supply=supply,
         trace=trace,
     )
+
+
+def _checked_spec(benchmark: str, controller_spec) -> ControllerSpec:
+    """``controller_spec`` as a tuple the controller factory accepts."""
+    if isinstance(controller_spec, str):
+        raise ExperimentError(
+            f"cell {benchmark}/{controller_spec!r}: the controller spec must "
+            f"be a tuple such as ({controller_spec!r},), not a bare string"
+        )
+    spec = tuple(controller_spec)
+    try:
+        make_controller(spec)
+    except (ExperimentError, ValueError, TypeError, IndexError, KeyError) as exc:
+        raise ExperimentError(
+            f"cell {benchmark}/{spec!r}: invalid controller spec ({exc})"
+        ) from None
+    return spec
 
 
 def make_trace_cell(
@@ -562,9 +591,7 @@ def smt_baseline_cells(cell: SmtCell) -> List[SimCell]:
 # array/object stage representation (tests/test_kernel_equivalence.py),
 # and hashing any of them would split the cache by debug/observability/
 # representation mode.
-_NON_RESULT_FIELDS = frozenset(
-    {"sanitize", "telemetry", "kernel", "cycle_skip", "run_batch"}
-)
+_NON_RESULT_FIELDS = frozenset({"sanitize", "telemetry", "kernel", "cycle_skip"})
 
 
 def _config_items(config: ProcessorConfig) -> List[Tuple[str, object]]:

@@ -1,8 +1,8 @@
 """Runtime pipeline invariant checks (sanitize mode).
 
-When ``ProcessorConfig.sanitize`` is set the kernel steps through
-:meth:`~repro.pipeline.stages.scheduler.CycleScheduler.step_sanitized`,
-which calls :func:`check_invariants` after every stage tick and
+When ``ProcessorConfig.sanitize`` is set,
+:meth:`~repro.pipeline.stages.scheduler.CycleScheduler.step` calls
+:func:`check_invariants` after every stage tick and
 :func:`check_cycle_end` when the cycle closes.  Each check recomputes a
 ground truth from the pipeline structures themselves and compares it to
 the incremental bookkeeping the hot loops maintain:
@@ -33,9 +33,9 @@ the incremental bookkeeping the hot loops maintain:
 A violation raises :class:`~repro.errors.SanitizerError` naming the
 invariant, the stage after which it was detected, and the cycle.  The
 checks are deliberately simple re-summations — O(in-flight
-instructions) per stage tick — and live behind the construction-time
-dispatch in ``Processor._finish_threads``, so a run without sanitize
-mode never pays for them.
+instructions) per stage tick — and live behind the scheduler's
+sanitize flag, fixed when the scheduler is built, so a run without
+sanitize mode pays one flag test per hook point and never calls them.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
 """Pinned object-backed stage kernel (the pre-array representation).
 
-This module is a mechanical snapshot of the five stage files and the
-cycle scheduler exactly as they stood before the array-backed kernel
-rewrite (PR 8): deque-backed :class:`~repro.pipeline.stages.latch.PipeLatch`
-front-end latches, a dict-of-buckets
-:class:`~repro.pipeline.stages.latch.CompletionLatch`, and per-instruction
-``unit_accesses`` tallies maintained by every stage.  It is selected with
-``ProcessorConfig.kernel == "object"`` (env ``REPRO_KERNEL=object``) and
-exists for two reasons:
+This module is a mechanical snapshot of the five stage files exactly as
+they stood before the array-backed kernel rewrite: deque-backed
+:class:`~repro.pipeline.stages.latch.PipeLatch` front-end latches, a
+dict-of-buckets :class:`~repro.pipeline.stages.latch.CompletionLatch`,
+and per-instruction ``unit_accesses`` tallies maintained by every stage.
+The stages are driven by the one shared
+:meth:`~repro.pipeline.stages.scheduler.CycleScheduler.step`, with the
+cycle-skip fast-forward off (:class:`ObjectCycleScheduler`).  The kernel
+is selected with ``ProcessorConfig.kernel == "object"`` (env
+``REPRO_KERNEL=object``) and exists for two reasons:
 
 * **same-process A/B benchmarking** — ``bench_core_throughput.py
   --interleave`` alternates object/array passes inside one process, so the
@@ -16,9 +18,10 @@ exists for two reasons:
 * **equivalence testing** — ``tests/test_kernel_equivalence.py`` drives
   randomized micro-programs through both kernels and asserts identical
   commit sequences, statistics and fingerprints, beyond the 38 golden
-  fingerprints both kernels must reproduce.
+  fingerprints both kernels must reproduce.  It is the reference the
+  array kernel is tested against.
 
-Because it is a snapshot, the code below is intentionally verbatim
+Because it is a snapshot, the stage code below is intentionally verbatim
 (section markers aside, classes renamed with an ``Object`` prefix); do
 not "improve" it — its value is bit-identical behaviour to the
 representation the array kernel replaced.  See docs/ARCHITECTURE.md
@@ -1343,160 +1346,27 @@ class ObjectCommitRecoverStage(Stage):
 
 
 # ======================================================================
-# snapshot of stages/scheduler.py
+# the cycle scheduler
 # ======================================================================
 
-"""The cycle scheduler: drives the stage components through one cycle.
-
-Stages run in reverse pipeline order — commit, writeback, select/issue,
-rename+decode, fetch — so that results written back this cycle are
-visible to commit next cycle, issue slots freed by writeback are not
-reused in the same cycle, and latch entries move at most one stage per
-cycle.  After the last stage the scheduler closes the cycle: the per-unit
-activity array is integrated by the power model (clock-tree power driven
-by ROB occupancy from the kernel's incremental counter — no per-cycle
-rescan of the threads), and the cycle counter advances.
-
-The scheduler holds the stage components as plain attributes, so tests
-and future scenarios can wrap or replace a single stage without touching
-the kernel.
-"""
+from repro.pipeline.stages.scheduler import CycleScheduler
 
 
-from repro.pipeline.sanitizer import check_cycle_end, check_invariants
-from repro.power.units import NUM_UNITS
+class ObjectCycleScheduler(CycleScheduler):
+    """The shared :class:`CycleScheduler` stepper over the snapshot stages.
 
+    The object representation has no completion wheel to scan, so the
+    cycle-skip fast-forward stays off: every cycle is stepped, exactly as
+    the pre-array scheduler stepped it.
+    """
 
-class ObjectCycleScheduler:
-    """Owns the five stage components and advances them one cycle at a time."""
-
-    __slots__ = (
-        "kernel", "total_rob_size",
-        "commit", "writeback", "issue", "decode_rename", "fetch",
-        "stages",
+    STAGE_CLASSES = (
+        ObjectCommitRecoverStage,
+        ObjectExecuteWritebackStage,
+        ObjectSelectIssueStage,
+        ObjectDecodeRenameStage,
+        ObjectFetchStage,
     )
+    SKIPS = False
 
-    def __init__(self, kernel) -> None:
-        self.kernel = kernel
-        # Constant once the kernel's threads are final (the kernel builds
-        # its scheduler last).
-        self.total_rob_size = kernel.total_rob_size
-        self.commit = ObjectCommitRecoverStage(kernel)
-        self.writeback = ObjectExecuteWritebackStage(kernel, recovery=self.commit)
-        self.issue = ObjectSelectIssueStage(kernel)
-        self.decode_rename = ObjectDecodeRenameStage(kernel)
-        self.fetch = ObjectFetchStage(kernel)
-        # Reverse pipeline order, the order ``step`` runs them in.  The
-        # stage objects stay plain attributes and ``step`` dispatches
-        # through them each cycle, so tests and scenarios may wrap or
-        # replace a single stage (or its ``tick``) at any time.
-        self.stages = (
-            self.commit,
-            self.writeback,
-            self.issue,
-            self.decode_rename,
-            self.fetch,
-        )
-
-    def step(self) -> None:
-        """Advance the machine by one cycle."""
-        kernel = self.kernel
-        cycle = kernel.cycle
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        self.writeback.tick(cycle, activity)
-        self.issue.tick(cycle, activity)
-        self.decode_rename.tick(cycle, activity)
-        self.fetch.tick(cycle, activity)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
-
-    def step_sanitized(self) -> None:
-        """``step`` with invariant checks after every stage tick.
-
-        The kernel binds its ``_step`` to this method instead of ``step``
-        when ``config.sanitize`` is set (see ``Processor._finish_threads``)
-        — the plain ``step`` carries no sanitize branch, so runs without
-        the mode pay nothing.  The stage sequence and the cycle close
-        mirror ``step`` exactly; a sanitized run is bit-identical or
-        raises :class:`~repro.errors.SanitizerError`.
-        """
-        kernel = self.kernel
-        cycle = kernel.cycle
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        check_invariants(kernel, self.commit.name, cycle)
-        self.writeback.tick(cycle, activity)
-        check_invariants(kernel, self.writeback.name, cycle)
-        self.issue.tick(cycle, activity)
-        check_invariants(kernel, self.issue.name, cycle)
-        self.decode_rename.tick(cycle, activity)
-        check_invariants(kernel, self.decode_rename.name, cycle)
-        self.fetch.tick(cycle, activity)
-        check_invariants(kernel, self.fetch.name, cycle)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
-        check_cycle_end(kernel, cycle)
-
-    def step_instrumented(self) -> None:
-        """``step`` bracketed by the probe bus's per-cycle sampling.
-
-        Chosen by ``Processor._finish_threads`` when ``config.telemetry``
-        is set — the same construction-time dispatch as the sanitizer, so
-        the plain ``step`` carries no telemetry branch.  The bus samples
-        occupancy at cycle top and differences the kernel's statistics at
-        cycle bottom (see :class:`repro.telemetry.probes.ProbeBus`); it
-        never writes simulation state, so an instrumented run is
-        bit-identical to an uninstrumented one.
-        """
-        kernel = self.kernel
-        probes = kernel.probes
-        cycle = kernel.cycle
-        probes.begin_cycle(kernel, cycle)
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        self.writeback.tick(cycle, activity)
-        self.issue.tick(cycle, activity)
-        self.decode_rename.tick(cycle, activity)
-        self.fetch.tick(cycle, activity)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
-        probes.end_cycle(kernel)
-
-    def step_instrumented_sanitized(self) -> None:
-        """Probe sampling plus invariant checks (telemetry + sanitize)."""
-        kernel = self.kernel
-        probes = kernel.probes
-        cycle = kernel.cycle
-        probes.begin_cycle(kernel, cycle)
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        check_invariants(kernel, self.commit.name, cycle)
-        self.writeback.tick(cycle, activity)
-        check_invariants(kernel, self.writeback.name, cycle)
-        self.issue.tick(cycle, activity)
-        check_invariants(kernel, self.issue.name, cycle)
-        self.decode_rename.tick(cycle, activity)
-        check_invariants(kernel, self.decode_rename.name, cycle)
-        self.fetch.tick(cycle, activity)
-        check_invariants(kernel, self.fetch.name, cycle)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
-        probes.end_cycle(kernel)
-        check_cycle_end(kernel, cycle)
+    __slots__ = ()

@@ -37,6 +37,11 @@ gated or not.  ``ProcessorConfig.cycle_skip`` (REPRO_CYCLE_SKIP=0)
 disables the engine for A/B measurement; results are identical either
 way.
 
+**One stepper.**  :meth:`CycleScheduler.step` is the only cycle loop.
+The telemetry probe bus and the invariant sanitizer hook into it through
+two slots fixed at construction, each tested once per hook point, so
+every mode runs the same stage sequence and cycle close.
+
 The scheduler holds the stage components as plain attributes, so tests
 and future scenarios can wrap or replace a single stage without touching
 the kernel.
@@ -75,10 +80,22 @@ def _wheel_count(mask: int, start: int, count: int) -> int:
 class CycleScheduler:
     """Owns the five stage components and advances them one cycle at a time."""
 
+    # The stage classes (commit, writeback, issue, decode-rename, fetch)
+    # and whether the kernel they form supports the fast-forward.  The
+    # pinned object kernel subclasses with its own stages and no skip.
+    STAGE_CLASSES = (
+        CommitRecoverStage,
+        ExecuteWritebackStage,
+        SelectIssueStage,
+        DecodeRenameStage,
+        FetchStage,
+    )
+    SKIPS = True
+
     __slots__ = (
         "kernel", "total_rob_size",
         "commit", "writeback", "issue", "decode_rename", "fetch",
-        "stages",
+        "stages", "_probes", "_sanitize",
         "_solo", "_solo_gates", "_solo_oracle", "_smt_skip",
         "_threads", "_conf_policy", "_ring", "_mask", "_far",
     )
@@ -88,11 +105,12 @@ class CycleScheduler:
         # Constant once the kernel's threads are final (the kernel builds
         # its scheduler last).
         self.total_rob_size = kernel.total_rob_size
-        self.commit = CommitRecoverStage(kernel)
-        self.writeback = ExecuteWritebackStage(kernel, recovery=self.commit)
-        self.issue = SelectIssueStage(kernel)
-        self.decode_rename = DecodeRenameStage(kernel)
-        self.fetch = FetchStage(kernel)
+        commit, writeback, issue, decode_rename, fetch = self.STAGE_CLASSES
+        self.commit = commit(kernel)
+        self.writeback = writeback(kernel, recovery=self.commit)
+        self.issue = issue(kernel)
+        self.decode_rename = decode_rename(kernel)
+        self.fetch = fetch(kernel)
         # Reverse pipeline order, the order ``step`` runs them in.  The
         # stage objects stay plain attributes and ``step`` dispatches
         # through them each cycle, so tests and scenarios may wrap or
@@ -104,16 +122,21 @@ class CycleScheduler:
             self.decode_rename,
             self.fetch,
         )
+        # The step hooks: the kernel's probe bus (None unless telemetry
+        # is on) and the sanitize flag.
+        self._probes = kernel.probes
+        self._sanitize = kernel.config.sanitize
         # Fast-forward state.  The entry gates below are the per-cycle
         # hot path, so the solo thread and its controller capability
         # flags are cached as slots.
-        completions = kernel.completions
-        self._ring = completions.buckets
-        self._mask = completions.mask
-        self._far = completions.far_buckets
         threads = kernel.threads
         self._threads = threads
-        enabled = kernel.config.cycle_skip
+        enabled = self.SKIPS and kernel.config.cycle_skip
+        if enabled:
+            completions = kernel.completions
+            self._ring = completions.buckets
+            self._mask = completions.mask
+            self._far = completions.far_buckets
         if len(threads) == 1:
             self._solo = threads[0] if enabled else None
             self._smt_skip = False
@@ -331,56 +354,30 @@ class CycleScheduler:
         kernel.cycle = end
 
     # ------------------------------------------------------------------
-    # The four step variants (construction-time dispatch)
+    # The stepper
     # ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance the machine by one cycle."""
-        kernel = self.kernel
-        cycle = kernel.cycle
-        solo = self._solo
-        if solo is not None:
-            if (
-                cycle < solo.fetch_stall_until
-                or (self._solo_gates
-                    and not solo.fetch_latch.instrs
-                    and not solo.decode_latch.instrs
-                    and solo.controller.next_active_cycle(cycle) != cycle)
-                or (self._solo_oracle and solo.fetch_mode == "wrong")
-            ):
-                if self._try_skip(cycle):
-                    return
-        elif self._smt_skip:
-            if self._try_skip(cycle):
-                return
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        self.writeback.tick(cycle, activity)
-        self.issue.tick(cycle, activity)
-        self.decode_rename.tick(cycle, activity)
-        self.fetch.tick(cycle, activity)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
+        """Advance the machine by one cycle, or fast-forward one window.
 
-    def step_sanitized(self) -> None:
-        """``step`` with invariant checks after every stage tick.
-
-        The kernel binds its ``_step`` to this method instead of ``step``
-        when ``config.sanitize`` is set (see ``Processor._finish_threads``)
-        — the plain ``step`` carries no sanitize branch, so runs without
-        the mode pay nothing.  The stage sequence and the cycle close
-        mirror ``step`` exactly; a sanitized run is bit-identical or
-        raises :class:`~repro.errors.SanitizerError`.  A fast-forwarded
-        stretch is checked once at its last cycle — the structures are
-        untouched across the batch, so one check covers every cycle of
-        it.
+        Two optional hooks are fixed at construction.  The telemetry
+        probe bus samples occupancy at cycle top and differences the
+        kernel's statistics at cycle bottom (see
+        :class:`repro.telemetry.probes.ProbeBus`); a fast-forwarded
+        window is sampled once and scaled (``ProbeBus.idle_cycles``).
+        Sanitize mode checks the invariants after every stage tick and at
+        cycle end; a fast-forwarded window is checked once at its last
+        cycle, since the structures are untouched across it.  Probes run
+        before the checks.  Neither hook writes simulation state, so a
+        hooked run is bit-identical to a plain one (or raises
+        :class:`~repro.errors.SanitizerError`); with both off each hook
+        costs one local test.
         """
         kernel = self.kernel
         cycle = kernel.cycle
+        probes = self._probes
+        sanitize = self._sanitize
+        skipped = 0
         solo = self._solo
         if solo is not None:
             if (
@@ -391,132 +388,42 @@ class CycleScheduler:
                     and solo.controller.next_active_cycle(cycle) != cycle)
                 or (self._solo_oracle and solo.fetch_mode == "wrong")
             ):
-                count = self._try_skip(cycle)
-                if count:
-                    check_invariants(kernel, "fast-forward", cycle + count - 1)
-                    check_cycle_end(kernel, cycle + count - 1)
-                    return
+                skipped = self._try_skip(cycle)
         elif self._smt_skip:
-            count = self._try_skip(cycle)
-            if count:
-                check_invariants(kernel, "fast-forward", cycle + count - 1)
-                check_cycle_end(kernel, cycle + count - 1)
-                return
+            skipped = self._try_skip(cycle)
+        if skipped:
+            if probes is not None:
+                probes.idle_cycles(kernel, skipped)
+            if sanitize:
+                last = cycle + skipped - 1
+                check_invariants(kernel, "fast-forward", last)
+                check_cycle_end(kernel, last)
+            return
+        if probes is not None:
+            probes.begin_cycle(kernel, cycle)
         activity = [0] * NUM_UNITS
         self.commit.tick(cycle, activity)
-        check_invariants(kernel, self.commit.name, cycle)
+        if sanitize:
+            check_invariants(kernel, self.commit.name, cycle)
         self.writeback.tick(cycle, activity)
-        check_invariants(kernel, self.writeback.name, cycle)
+        if sanitize:
+            check_invariants(kernel, self.writeback.name, cycle)
         self.issue.tick(cycle, activity)
-        check_invariants(kernel, self.issue.name, cycle)
+        if sanitize:
+            check_invariants(kernel, self.issue.name, cycle)
         self.decode_rename.tick(cycle, activity)
-        check_invariants(kernel, self.decode_rename.name, cycle)
+        if sanitize:
+            check_invariants(kernel, self.decode_rename.name, cycle)
         self.fetch.tick(cycle, activity)
-        check_invariants(kernel, self.fetch.name, cycle)
+        if sanitize:
+            check_invariants(kernel, self.fetch.name, cycle)
         power = kernel.power
         in_flight = kernel.rob_count
         power.end_cycle(activity, in_flight / self.total_rob_size)
         power.total_instr_cycles += in_flight
         kernel.stats.cycles += 1
         kernel.cycle = cycle + 1
-        check_cycle_end(kernel, cycle)
-
-    def step_instrumented(self) -> None:
-        """``step`` bracketed by the probe bus's per-cycle sampling.
-
-        Chosen by ``Processor._finish_threads`` when ``config.telemetry``
-        is set — the same construction-time dispatch as the sanitizer, so
-        the plain ``step`` carries no telemetry branch.  The bus samples
-        occupancy at cycle top and differences the kernel's statistics at
-        cycle bottom (see :class:`repro.telemetry.probes.ProbeBus`); it
-        never writes simulation state, so an instrumented run is
-        bit-identical to an uninstrumented one.  A fast-forwarded stretch
-        is sampled once and scaled (``ProbeBus.idle_cycles``) — every
-        per-cycle sample is constant across it, and the stall/throttle
-        counters the window advanced are folded in by differencing.
-        """
-        kernel = self.kernel
-        probes = kernel.probes
-        cycle = kernel.cycle
-        solo = self._solo
-        if solo is not None:
-            if (
-                cycle < solo.fetch_stall_until
-                or (self._solo_gates
-                    and not solo.fetch_latch.instrs
-                    and not solo.decode_latch.instrs
-                    and solo.controller.next_active_cycle(cycle) != cycle)
-                or (self._solo_oracle and solo.fetch_mode == "wrong")
-            ):
-                count = self._try_skip(cycle)
-                if count:
-                    probes.idle_cycles(kernel, count)
-                    return
-        elif self._smt_skip:
-            count = self._try_skip(cycle)
-            if count:
-                probes.idle_cycles(kernel, count)
-                return
-        probes.begin_cycle(kernel, cycle)
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        self.writeback.tick(cycle, activity)
-        self.issue.tick(cycle, activity)
-        self.decode_rename.tick(cycle, activity)
-        self.fetch.tick(cycle, activity)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
-        probes.end_cycle(kernel)
-
-    def step_instrumented_sanitized(self) -> None:
-        """Probe sampling plus invariant checks (telemetry + sanitize)."""
-        kernel = self.kernel
-        probes = kernel.probes
-        cycle = kernel.cycle
-        solo = self._solo
-        if solo is not None:
-            if (
-                cycle < solo.fetch_stall_until
-                or (self._solo_gates
-                    and not solo.fetch_latch.instrs
-                    and not solo.decode_latch.instrs
-                    and solo.controller.next_active_cycle(cycle) != cycle)
-                or (self._solo_oracle and solo.fetch_mode == "wrong")
-            ):
-                count = self._try_skip(cycle)
-                if count:
-                    probes.idle_cycles(kernel, count)
-                    check_invariants(kernel, "fast-forward", cycle + count - 1)
-                    check_cycle_end(kernel, cycle + count - 1)
-                    return
-        elif self._smt_skip:
-            count = self._try_skip(cycle)
-            if count:
-                probes.idle_cycles(kernel, count)
-                check_invariants(kernel, "fast-forward", cycle + count - 1)
-                check_cycle_end(kernel, cycle + count - 1)
-                return
-        probes.begin_cycle(kernel, cycle)
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        check_invariants(kernel, self.commit.name, cycle)
-        self.writeback.tick(cycle, activity)
-        check_invariants(kernel, self.writeback.name, cycle)
-        self.issue.tick(cycle, activity)
-        check_invariants(kernel, self.issue.name, cycle)
-        self.decode_rename.tick(cycle, activity)
-        check_invariants(kernel, self.decode_rename.name, cycle)
-        self.fetch.tick(cycle, activity)
-        check_invariants(kernel, self.fetch.name, cycle)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
-        probes.end_cycle(kernel)
-        check_cycle_end(kernel, cycle)
+        if probes is not None:
+            probes.end_cycle(kernel)
+        if sanitize:
+            check_cycle_end(kernel, cycle)

@@ -3,10 +3,10 @@
 Three layers, one package:
 
 * :mod:`repro.telemetry.probes` — the **probe bus**: per-stage, per-cycle
-  counter groups sampled by ``CycleScheduler.step_instrumented``.  Like
-  the sanitizer, instrumentation is chosen once at construction time
+  counter groups sampled by ``CycleScheduler.step``.  Like the
+  sanitizer, instrumentation is fixed once when the scheduler is built
   (``Processor._finish_threads``): a run without ``config.telemetry``
-  steps through the plain ``step`` and pays nothing, and an instrumented
+  has no probe bus and pays one test per hook point, and an instrumented
   run is bit-identical in every simulation result (the ``telemetry``
   config field is excluded from cache fingerprints).
 * :mod:`repro.telemetry.events` — the process-local event sink every

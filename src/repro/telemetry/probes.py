@@ -2,10 +2,10 @@
 
 A :class:`ProbeBus` is attached to the kernel by
 ``Processor._finish_threads`` when ``config.telemetry`` is set, and the
-kernel then steps through ``CycleScheduler.step_instrumented`` — the
-same construction-time dispatch the sanitizer uses, so the plain
-``step`` carries no telemetry branch and an uninstrumented run pays
-nothing (the 38 golden fingerprints are the proof).
+scheduler's one ``CycleScheduler.step`` samples it at every cycle.  The
+bus is fixed when the scheduler is built, like the sanitize flag, so an
+uninstrumented run pays one test per hook point (the 38 golden
+fingerprints prove the results do not move).
 
 The bus never touches simulation state: it *samples* occupancy at the
 top of the cycle (:meth:`ProbeBus.begin_cycle`) and *differences* the
@@ -106,7 +106,7 @@ class ProbeBus:
         self.reset()
 
     # ------------------------------------------------------------------
-    # The per-cycle sampling API (called by step_instrumented)
+    # The per-cycle sampling API (called by CycleScheduler.step)
     # ------------------------------------------------------------------
 
     def begin_cycle(self, kernel, cycle: int) -> None:

@@ -92,8 +92,13 @@ def _program(seed: int, name: str):
     return ProgramGenerator(ProgramShape(), seed=seed, name=name).generate()
 
 
-def _solo_observables(spec, cycle_skip: bool, telemetry: bool = False):
-    config = replace(table3_config(), cycle_skip=cycle_skip, telemetry=telemetry)
+def _solo_observables(
+    spec, cycle_skip: bool, telemetry: bool = False, sanitize: bool = False
+):
+    config = replace(
+        table3_config(),
+        cycle_skip=cycle_skip, telemetry=telemetry, sanitize=sanitize,
+    )
     controller = make_controller(spec) if spec is not None else None
     processor = Processor(
         config, _program(11, "skipab"), controller=controller, seed=5
@@ -186,6 +191,24 @@ def test_probe_totals_reconcile_on_gated_solo_run():
     assert snapshot["skip"]["skipped_cycles"] > 0, (
         "a C2 run must produce skippable fetch-gated windows"
     )
+
+
+@pytest.mark.parametrize("sanitize,telemetry", (
+    (True, False), (False, True), (True, True),
+))
+def test_step_hooks_keep_a_skipping_gated_run_bit_identical(sanitize, telemetry):
+    # The stepper's sanitize and probe hooks, alone and together, on a
+    # gated cell that fast-forwards: the payload matches the plain run,
+    # and the probe totals reconcile with the kernel's statistics.
+    _, plain = _solo_observables(("throttle", "C2"), cycle_skip=True)
+    processor, hooked = _solo_observables(
+        ("throttle", "C2"), cycle_skip=True,
+        telemetry=telemetry, sanitize=sanitize,
+    )
+    assert hooked == plain
+    if telemetry:
+        snapshot = _assert_probes_reconcile(processor)
+        assert snapshot["skip"]["skipped_cycles"] > 0
 
 
 def test_probe_totals_reconcile_on_gating_controller_run():

@@ -259,6 +259,27 @@ def test_engine_rejects_zero_jobs():
         ExecutionEngine(jobs=0)
 
 
+def test_make_cell_rejects_a_bare_string_controller_spec():
+    from repro.errors import ExperimentError
+
+    with pytest.raises(ExperimentError, match=r"cell go/'baseline'"):
+        make_cell("go", "baseline")
+
+
+def test_make_cell_rejects_zero_instructions():
+    from repro.errors import ExperimentError
+
+    with pytest.raises(ExperimentError, match=r"cell gzip/.*instructions"):
+        make_cell("gzip", ("baseline",), instructions=0)
+
+
+def test_make_cell_rejects_a_spec_the_controller_factory_rejects():
+    from repro.errors import ExperimentError
+
+    with pytest.raises(ExperimentError, match=r"cell go/\('oracle', 'nonsense'\)"):
+        make_cell("go", ("oracle", "nonsense"))
+
+
 def test_runner_memo_does_not_leak_custom_labels():
     runner = ExperimentRunner(instructions=_INSTRUCTIONS, warmup=_WARMUP)
     labelled = runner.run("gzip", ("throttle", "A5"), label="pretty")

@@ -10,7 +10,13 @@ dictionary, the power ledgers — must match bit for bit.  A fingerprint
 over the canonical JSON of the whole payload guards anything the
 itemised asserts miss.
 
-Each trial is deterministic (the trial seed fixes the program, the
+Beyond the randomized shapes, adversarial trials target the front-end
+edge cases: wrong-path-heavy shapes (dense mispredictions, so fetch
+spends much of its time on wrong-path packets and recovery truncates
+them often) and short-block-heavy shapes (1-2 instruction blocks, so
+nearly every fetched record is a block boundary).
+
+Each trial is deterministic (the trial id fixes the program, the
 geometry and the mechanism), so a failure reproduces by running its
 trial id alone.
 """
@@ -32,6 +38,11 @@ from repro.smt.core import SmtProcessor
 from repro.smt.policies import make_fetch_policy
 
 _TRIALS = tuple(range(8))
+_ADVERSARIAL_STYLES = ("wrong-path-heavy", "short-block-heavy")
+_ADVERSARIAL_TRIALS = tuple(
+    f"{_ADVERSARIAL_STYLES[index % len(_ADVERSARIAL_STYLES)]}-{index}"
+    for index in range(6)
+)
 _INSTRUCTIONS = 1200
 _WARMUP = 300
 
@@ -66,6 +77,39 @@ def _draw_shape(rng: random.Random) -> ProgramShape:
     )
 
 
+def _draw_adversarial_shape(rng: random.Random, style: str) -> ProgramShape:
+    """A program shape aimed at the front end's edge cases."""
+    if style == "wrong-path-heavy":
+        return ProgramShape(
+            num_functions=rng.randint(2, 4),
+            blocks_per_function=(4, rng.randint(6, 10)),
+            block_size=(2, rng.randint(5, 10)),
+            p_cond=rng.uniform(0.55, 0.72),
+            p_call=rng.uniform(0.04, 0.10),
+            p_jump=rng.uniform(0.02, 0.08),
+            loop_fraction=rng.uniform(0.15, 0.40),
+            w_bad=rng.uniform(0.30, 0.55),
+            w_random=rng.uniform(0.08, 0.15),
+            serial_chain_fraction=rng.uniform(0.2, 0.6),
+            load_chain_fraction=rng.uniform(0.2, 0.6),
+            branch_load_dependence=rng.uniform(0.4, 0.8),
+        )
+    return ProgramShape(
+        num_functions=rng.randint(2, 5),
+        blocks_per_function=(5, rng.randint(8, 14)),
+        block_size=(1, 2),
+        p_cond=rng.uniform(0.50, 0.70),
+        p_call=rng.uniform(0.03, 0.08),
+        p_jump=rng.uniform(0.05, 0.12),
+        loop_fraction=rng.uniform(0.2, 0.5),
+        w_bad=rng.uniform(0.05, 0.25),
+        w_random=rng.uniform(0.0, 0.08),
+        serial_chain_fraction=rng.uniform(0.2, 0.6),
+        load_chain_fraction=rng.uniform(0.2, 0.6),
+        branch_load_dependence=rng.uniform(0.3, 0.8),
+    )
+
+
 def _draw_config(rng: random.Random):
     """A randomized core geometry on top of the Table-3 baseline."""
     base = table3_config().with_depth(rng.choice((6, 14, 28)))
@@ -78,9 +122,9 @@ def _draw_config(rng: random.Random):
         fetch_width=rng.choice((4, 8)),
         issue_width=rng.choice((4, 8)),
         max_taken_branches_per_cycle=rng.choice((1, 2)),
-        # One trial in four runs both kernels under the sanitized and/or
-        # instrumented steppers, so all four step variants (and their
-        # fast-forward entry gates) get property coverage.
+        # One trial in four runs both kernels with the sanitize and/or
+        # probe hooks of the stepper on, so every hook combination (and
+        # the hooks' fast-forward paths) gets property coverage.
         sanitize=rng.random() < 0.25,
         telemetry=rng.random() < 0.25,
     )
@@ -120,15 +164,34 @@ def _probe_groups(processor):
     }
 
 
-def _run_kernel(trial: int, kernel: str):
-    """One deterministic trial on the given kernel representation."""
-    rng = random.Random(0x5EED0 + trial)
-    shape = _draw_shape(rng)
-    config = replace(_draw_config(rng), kernel=kernel)
+def _draw_trial(trial):
+    """``(shape, config, spec, program seed, program name, core seed)``.
+
+    An int trial draws a randomized shape; a ``"<style>-<index>"`` trial
+    draws an adversarial shape of that style.
+    """
+    if isinstance(trial, int):
+        rng = random.Random(0x5EED0 + trial)
+        shape = _draw_shape(rng)
+        config = _draw_config(rng)
+        spec = rng.choice(_MECHANISMS)
+        return shape, config, spec, 1000 + trial, f"prop{trial}", 77 + trial
+    style, index = trial.rsplit("-", 1)
+    index = int(index)
+    rng = random.Random(0xBA7C4 + index)
+    shape = _draw_adversarial_shape(rng, style)
+    config = _draw_config(rng)
     spec = rng.choice(_MECHANISMS)
-    program = ProgramGenerator(shape, seed=1000 + trial, name=f"prop{trial}").generate()
+    return shape, config, spec, 3000 + index, f"adv{index}", 55 + index
+
+
+def _run_kernel(trial, kernel: str):
+    """One deterministic trial on the given kernel representation."""
+    shape, config, spec, program_seed, name, seed = _draw_trial(trial)
+    config = replace(config, kernel=kernel)
+    program = ProgramGenerator(shape, seed=program_seed, name=name).generate()
     controller = make_controller(spec) if spec is not None else None
-    processor = Processor(config, program, controller=controller, seed=77 + trial)
+    processor = Processor(config, program, controller=controller, seed=seed)
     recorder = _CommitRecorder()
     processor.observer = recorder
     stats = processor.run(_INSTRUCTIONS, warmup_instructions=_WARMUP)
@@ -153,7 +216,7 @@ def _fingerprint(payload) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("trial", _TRIALS)
+@pytest.mark.parametrize("trial", _TRIALS + _ADVERSARIAL_TRIALS)
 def test_random_micro_programs_commit_identically(trial):
     object_payload, spec = _run_kernel(trial, "object")
     array_payload, _ = _run_kernel(trial, "array")
@@ -188,131 +251,21 @@ def test_trials_cover_every_mechanism_and_a_checked_stepper():
     assert checked, "no trial draws a sanitized or instrumented stepper"
 
 
+def test_adversarial_trials_cover_both_styles_and_wrong_path_density():
+    """The adversarial draws must hit both styles and real mispredicts."""
+    styles = {trial.rsplit("-", 1)[0] for trial in _ADVERSARIAL_TRIALS}
+    assert styles == set(_ADVERSARIAL_STYLES)
+    payload, _ = _run_kernel(_ADVERSARIAL_TRIALS[0], "array")
+    assert payload["stats"]["fetched_wrong_path"] > 0, (
+        "the wrong-path-heavy shape must actually fetch wrong-path work"
+    )
+
+
 def test_commits_are_observed_and_nonempty():
     payload, _ = _run_kernel(0, "array")
     assert len(payload["commits"]) >= _INSTRUCTIONS
     seqs = [seq for seq, _, _ in payload["commits"]]
     assert seqs == sorted(seqs), "commit sequence must be program-ordered"
-
-
-# ---------------------------------------------------------------------------
-# Run-batch equivalence: block-granular fetch admission is invisible.
-#
-# The run-batched front end (REPRO_RUN_BATCH / config.run_batch) admits
-# whole precompiled straight-line runs en bloc; these trials target the
-# program shapes where that path's edge cases live.  Wrong-path-heavy
-# shapes (dense mispredictions) stress the wrong-path packet batch and
-# its interaction with recovery; short-block-heavy shapes (1-2
-# instruction blocks) keep every run below the admission threshold so
-# the per-instruction fallback and partial-admission splits dominate.
-# Each trial runs the array kernel with batching on and off plus the
-# pinned object-kernel reference, and all three must agree bit for bit.
-# ---------------------------------------------------------------------------
-
-_RUN_BATCH_TRIALS = tuple(range(6))
-_RUN_BATCH_STYLES = ("wrong-path-heavy", "short-block-heavy")
-
-
-def _draw_run_batch_shape(rng: random.Random, style: str) -> ProgramShape:
-    """A program shape aimed at the run-batch path's edge cases."""
-    if style == "wrong-path-heavy":
-        # Dense, badly-predicted control flow: fetch spends much of its
-        # time on wrong-path packets and recovery truncates runs often.
-        return ProgramShape(
-            num_functions=rng.randint(2, 4),
-            blocks_per_function=(4, rng.randint(6, 10)),
-            block_size=(2, rng.randint(5, 10)),
-            p_cond=rng.uniform(0.55, 0.72),
-            p_call=rng.uniform(0.04, 0.10),
-            p_jump=rng.uniform(0.02, 0.08),
-            loop_fraction=rng.uniform(0.15, 0.40),
-            w_bad=rng.uniform(0.30, 0.55),
-            w_random=rng.uniform(0.08, 0.15),
-            serial_chain_fraction=rng.uniform(0.2, 0.6),
-            load_chain_fraction=rng.uniform(0.2, 0.6),
-            branch_load_dependence=rng.uniform(0.4, 0.8),
-        )
-    # Short-block-heavy: every straight-line run is 1-2 instructions, so
-    # nothing clears the batch admission threshold and the fallback path
-    # (plus its per-record template peeks) carries the whole program.
-    return ProgramShape(
-        num_functions=rng.randint(2, 5),
-        blocks_per_function=(5, rng.randint(8, 14)),
-        block_size=(1, 2),
-        p_cond=rng.uniform(0.50, 0.70),
-        p_call=rng.uniform(0.03, 0.08),
-        p_jump=rng.uniform(0.05, 0.12),
-        loop_fraction=rng.uniform(0.2, 0.5),
-        w_bad=rng.uniform(0.05, 0.25),
-        w_random=rng.uniform(0.0, 0.08),
-        serial_chain_fraction=rng.uniform(0.2, 0.6),
-        load_chain_fraction=rng.uniform(0.2, 0.6),
-        branch_load_dependence=rng.uniform(0.3, 0.8),
-    )
-
-
-def _run_batch_trial(trial: int, kernel: str, run_batch: bool):
-    """One deterministic run-batch trial on the given kernel/batch mode."""
-    rng = random.Random(0xBA7C4 + trial)
-    style = _RUN_BATCH_STYLES[trial % len(_RUN_BATCH_STYLES)]
-    shape = _draw_run_batch_shape(rng, style)
-    config = replace(_draw_config(rng), kernel=kernel, run_batch=run_batch)
-    spec = rng.choice(_MECHANISMS)
-    program = ProgramGenerator(
-        shape, seed=3000 + trial, name=f"batch{trial}"
-    ).generate()
-    controller = make_controller(spec) if spec is not None else None
-    processor = Processor(config, program, controller=controller, seed=55 + trial)
-    recorder = _CommitRecorder()
-    processor.observer = recorder
-    stats = processor.run(_INSTRUCTIONS, warmup_instructions=_WARMUP)
-    payload = {
-        "commits": recorder.commits,
-        "squashes": recorder.squashes,
-        "stats": stats.as_dict(),
-        "cycles": processor.cycle,
-        "probes": _probe_groups(processor),
-        "total_energy": processor.power.total_energy(),
-        "breakdown": processor.power.breakdown(),
-    }
-    return payload, (style, spec)
-
-
-@pytest.mark.parametrize("trial", _RUN_BATCH_TRIALS)
-def test_run_batching_is_invisible_on_adversarial_shapes(trial):
-    batched, combo = _run_batch_trial(trial, "array", True)
-    unbatched, _ = _run_batch_trial(trial, "array", False)
-    reference, _ = _run_batch_trial(trial, "object", True)
-    style, spec = combo
-    label = f"run-batch trial {trial} ({style}, {spec or 'baseline'})"
-    assert batched["commits"] == unbatched["commits"], (
-        f"{label}: committed sequences diverge with batching on vs off"
-    )
-    assert batched["squashes"] == unbatched["squashes"], (
-        f"{label}: squash sequences diverge with batching on vs off"
-    )
-    assert batched["stats"] == unbatched["stats"], (
-        f"{label}: statistics diverge with batching on vs off"
-    )
-    assert _fingerprint(batched) == _fingerprint(unbatched), (
-        f"{label}: full payloads diverge with batching on vs off"
-    )
-    assert _fingerprint(batched) == _fingerprint(reference), (
-        f"{label}: batched array kernel diverges from the object reference"
-    )
-
-
-def test_run_batch_trials_cover_both_styles_and_wrong_path_density():
-    """The adversarial draws must hit both styles and real mispredicts."""
-    styles = {
-        _RUN_BATCH_STYLES[trial % len(_RUN_BATCH_STYLES)]
-        for trial in _RUN_BATCH_TRIALS
-    }
-    assert styles == set(_RUN_BATCH_STYLES)
-    payload, _ = _run_batch_trial(0, "array", True)
-    assert payload["stats"]["fetched_wrong_path"] > 0, (
-        "the wrong-path-heavy shape must actually fetch wrong-path work"
-    )
 
 
 # ---------------------------------------------------------------------------

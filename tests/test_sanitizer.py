@@ -32,11 +32,18 @@ def _run_cycles(processor, cycles):
 
 
 def test_sanitize_flag_selects_checked_stepper():
+    # The same corruption is caught with the flag on and stepped past
+    # silently with it off: the flag alone switches the checks.
     processor = _sanitized_processor()
-    assert processor._step == processor.scheduler.step_sanitized
+    _run_cycles(processor, 50)
+    processor.rob_count += 1
+    with pytest.raises(SanitizerError):
+        _run_cycles(processor, 5)
     program = ProgramGenerator(small_shape(), seed=42, name="sanprog").generate()
     plain = Processor(table3_config(), program, seed=42)
-    assert plain._step == plain.scheduler.step
+    _run_cycles(plain, 50)
+    plain.rob_count += 1
+    _run_cycles(plain, 5)
 
 
 def test_clean_run_passes_and_matches_unsanitized():

@@ -2,10 +2,10 @@
 
 Four contracts under test:
 
-* **Zero cost off, bit-identical on** — the telemetry flag selects the
-  instrumented stepper at construction (never a per-cycle branch), is
-  excluded from cache fingerprints, and an instrumented run commits the
-  same instructions in the same cycles as a plain one.
+* **Bit-identical on** — the telemetry flag attaches the probe bus to
+  the one stepper at construction, is excluded from cache fingerprints,
+  and an instrumented run commits the same instructions in the same
+  cycles as a plain one.
 * **Counter correctness** — probe totals over the measured window
   reconcile exactly with the kernel's own ``SimStats``, and the
   throttle-residency histogram covers every cycle of every thread.
@@ -61,22 +61,34 @@ def _processor(seed=42, **overrides) -> Processor:
 
 
 # ----------------------------------------------------------------------
-# Dispatch: construction-time stepper selection
+# The telemetry flag: construction-time probe hooks
 # ----------------------------------------------------------------------
+
+def _step_cycles(processor, cycles):
+    for _ in range(cycles):
+        processor.step()
+
 
 def test_telemetry_flag_selects_instrumented_stepper():
     instrumented = _processor(telemetry=True)
-    assert instrumented._step == instrumented.scheduler.step_instrumented
     assert isinstance(instrumented.probes, ProbeBus)
+    _step_cycles(instrumented, 40)
+    assert instrumented.probes.cycles == instrumented.stats.cycles >= 40
     plain = _processor()
-    assert plain._step == plain.scheduler.step
+    _step_cycles(plain, 40)
     assert plain.probes is None
 
 
 def test_telemetry_and_sanitize_combine():
+    from repro.errors import SanitizerError
+
     both = _processor(telemetry=True, sanitize=True)
-    assert both._step == both.scheduler.step_instrumented_sanitized
     assert isinstance(both.probes, ProbeBus)
+    _step_cycles(both, 40)
+    assert both.probes.cycles == both.stats.cycles >= 40
+    both.rob_count += 1
+    with pytest.raises(SanitizerError):
+        _step_cycles(both, 5)
 
 
 def test_env_variable_enables_telemetry(monkeypatch):
