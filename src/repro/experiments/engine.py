@@ -49,7 +49,7 @@ from repro.experiments.results import SimulationResult
 from repro.pipeline.config import ProcessorConfig, table3_config
 from repro.pipeline.processor import Processor
 from repro.power.model import ClockGatingStyle
-from repro.smt.core import SmtProcessor
+from repro.smt.core import SHARING_MODES, SmtProcessor
 from repro.smt.metrics import (
     SmtResult,
     collect_smt_result,
@@ -57,7 +57,7 @@ from repro.smt.metrics import (
     smt_result_to_dict,
 )
 from repro.smt.mixes import mix_spec
-from repro.smt.policies import make_fetch_policy
+from repro.smt.policies import POLICY_NAMES, make_fetch_policy
 from repro.telemetry.events import publish as telemetry_publish
 from repro.workloads.suite import benchmark_spec
 
@@ -251,18 +251,11 @@ def make_cell(
             "(pass trace= for a trace-backed cell)"
         )
     spec = _checked_spec(benchmark, controller_spec)
-    if instructions is None:
-        instructions = default_instructions()
-    elif instructions <= 0:
-        raise ExperimentError(
-            f"cell {benchmark}/{spec!r}: instructions must be positive, "
-            f"got {instructions}"
-        )
     return SimCell(
         benchmark=benchmark,
         controller_spec=spec,
         config=config or table3_config(),
-        instructions=instructions,
+        instructions=_checked_instructions(f"{benchmark}/{spec!r}", instructions),
         warmup=default_warmup() if warmup is None else warmup,
         seed=seed,
         clock_gating=clock_gating,
@@ -272,11 +265,11 @@ def make_cell(
     )
 
 
-def _checked_spec(benchmark: str, controller_spec) -> ControllerSpec:
+def _checked_spec(name: str, controller_spec) -> ControllerSpec:
     """``controller_spec`` as a tuple the controller factory accepts."""
     if isinstance(controller_spec, str):
         raise ExperimentError(
-            f"cell {benchmark}/{controller_spec!r}: the controller spec must "
+            f"cell {name}/{controller_spec!r}: the controller spec must "
             f"be a tuple such as ({controller_spec!r},), not a bare string"
         )
     spec = tuple(controller_spec)
@@ -284,9 +277,20 @@ def _checked_spec(benchmark: str, controller_spec) -> ControllerSpec:
         make_controller(spec)
     except (ExperimentError, ValueError, TypeError, IndexError, KeyError) as exc:
         raise ExperimentError(
-            f"cell {benchmark}/{spec!r}: invalid controller spec ({exc})"
+            f"cell {name}/{spec!r}: invalid controller spec ({exc})"
         ) from None
     return spec
+
+
+def _checked_instructions(name: str, instructions: Optional[int]) -> int:
+    """``instructions``, or the library default for a blank; never <= 0."""
+    if instructions is None:
+        return default_instructions()
+    if instructions <= 0:
+        raise ExperimentError(
+            f"cell {name}: instructions must be positive, got {instructions}"
+        )
+    return instructions
 
 
 def make_trace_cell(
@@ -311,11 +315,14 @@ def make_trace_cell(
             f"{trace_path}: headerless (v1) traces cannot drive a pipeline "
             "replay; re-record with `repro trace record`"
         )
+    spec = _checked_spec(f"trace:{header.benchmark}", controller_spec)
     return SimCell(
         benchmark=header.benchmark,
-        controller_spec=tuple(controller_spec),
+        controller_spec=spec,
         config=config or table3_config(),
-        instructions=instructions or default_instructions(),
+        instructions=_checked_instructions(
+            f"trace:{header.benchmark}/{spec!r}", instructions
+        ),
         warmup=default_warmup() if warmup is None else warmup,
         seed=header.seed,
         clock_gating=clock_gating,
@@ -325,15 +332,19 @@ def make_trace_cell(
     )
 
 
-# Per-process memo of generated programs, keyed by (benchmark, seed).
+# Per-process memo of generated programs, keyed by (benchmark, seed): the
+# one source of programs for single-thread and SMT cells alike.
 # Generation is deterministic and all run-to-run mutable state (branch
 # behaviour RNGs, loop trip counters) is reset by ``Program.
 # reset_behaviors`` when a processor takes ownership of the program, so a
 # sequential re-run on a memoised instance is bit-identical to a fresh
 # build — figure drivers and benchmarks simulate the same program under
 # many mechanisms, and generation was a measurable slice of short cells.
-# (The SMT path is excluded: concurrent hardware threads need private
-# Program instances.)
+# An SMT machine takes each thread's program from here too, so a mix
+# shares programs with its single-thread reference cells and with other
+# mixes.  Its threads run distinct derived seeds, hence distinct keys;
+# ``build_smt_processor`` builds a private instance for a key that repeats
+# inside one machine, because concurrent threads cannot share a Program.
 #
 # Bounded as a true LRU: scheduler workers live for a whole multi-study
 # run now (the shared pool), and an unbounded memo — or the old
@@ -495,12 +506,26 @@ def make_smt_cell(
     seed: Optional[int] = None,
     clock_gating: str = ClockGatingStyle.CC3.value,
 ) -> SmtCell:
-    """Build an :class:`SmtCell`, filling library defaults for blanks."""
+    """Build an :class:`SmtCell`, filling library defaults for blanks.
+
+    Inputs are checked here, as in :func:`make_cell`.
+    """
     mix_spec(mix)  # validate the name eagerly
+    name = f"{mix}/{policy}/{sharing}"
+    if policy not in POLICY_NAMES:
+        raise ExperimentError(
+            f"cell {name}: unknown fetch policy {policy!r}; "
+            f"known: {', '.join(POLICY_NAMES)}"
+        )
+    if sharing not in SHARING_MODES:
+        raise ExperimentError(
+            f"cell {name}: unknown sharing mode {sharing!r}; "
+            f"known: {', '.join(SHARING_MODES)}"
+        )
     return SmtCell(
         mix=mix,
         config=config or table3_config(),
-        instructions=instructions or default_instructions(),
+        instructions=_checked_instructions(name, instructions),
         warmup=default_warmup() if warmup is None else warmup,
         policy=policy,
         sharing=sharing,
@@ -510,15 +535,27 @@ def make_smt_cell(
 
 
 def build_smt_processor(cell: SmtCell) -> SmtProcessor:
-    """Construct (but do not run) the SMT core a mix cell describes."""
-    spec = mix_spec(cell.mix)
-    base_seed = cell.effective_seed
-    seeds = spec.thread_seeds(base_seed)
-    programs = spec.build_programs(base_seed)
+    """Construct (but do not run) the SMT core a mix cell describes.
+
+    Thread programs come from the per-process program memo, so a mix
+    shares them with its single-thread reference cells and with every
+    other mix, policy or sharing mode that runs the same ``(benchmark,
+    seed)``.  A key that repeats inside this machine gets a private build
+    for each later thread: two threads never walk one ``Program``.
+    """
+    workloads = mix_spec(cell.mix).program_specs(cell.effective_seed)
+    programs = []
+    taken = set()
+    for workload in workloads:
+        key = (workload.name, workload.seed)
+        programs.append(
+            workload.build_program() if key in taken else _program_for(workload)
+        )
+        taken.add(key)
     return SmtProcessor(
         cell.config,
         programs,
-        seeds,
+        [workload.seed for workload in workloads],
         fetch_policy=make_fetch_policy(cell.policy),
         sharing=cell.sharing,
         clock_gating=ClockGatingStyle(cell.clock_gating),
@@ -558,25 +595,26 @@ def smt_baseline_cells(cell: SmtCell) -> List[SimCell]:
     """The single-threaded reference cells of an SMT mix, in thread order.
 
     Thread *i*'s reference runs the same benchmark on the same derived
-    seed (so the *identical* program instance) alone on the baseline core
-    for the same per-thread run lengths — the denominators of weighted
-    speedup and harmonic fairness.  Each is an ordinary :class:`SimCell`,
-    so references are cached and shared across mixes and policies.
+    seed (in one process, the *identical* memoised program instance) alone
+    on the baseline core for the same per-thread run lengths — the
+    denominators of weighted speedup and harmonic fairness.  Each is an
+    ordinary :class:`SimCell`, so references are cached and shared across
+    mixes and policies.
     """
-    spec = mix_spec(cell.mix)
-    seeds = spec.thread_seeds(cell.effective_seed)
     return [
         SimCell(
-            benchmark=benchmark,
+            benchmark=workload.name,
             controller_spec=("baseline",),
             config=cell.config,
             instructions=cell.instructions,
             warmup=cell.warmup,
-            seed=seed,
+            seed=workload.seed,
             clock_gating=cell.clock_gating,
-            label=f"{benchmark}@t{thread_id}",
+            label=f"{workload.name}@t{thread_id}",
         )
-        for thread_id, (benchmark, seed) in enumerate(zip(spec.benchmarks, seeds))
+        for thread_id, workload in enumerate(
+            mix_spec(cell.mix).program_specs(cell.effective_seed)
+        )
     ]
 
 
@@ -676,6 +714,13 @@ def smt_cell_fingerprint(cell: SmtCell) -> str:
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def cell_label(cell) -> str:
+    """A short name of any cell kind, for messages."""
+    if isinstance(cell, SmtCell):
+        return f"{cell.mix}/{cell.policy}/{cell.sharing}"
+    return f"{cell.benchmark}/{cell.effective_label}"
 
 
 def fingerprint_of(cell) -> str:

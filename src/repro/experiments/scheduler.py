@@ -84,6 +84,9 @@ atexit.register(shutdown_shared_pool)
 def execute_batch(cells: List) -> Dict:
     """Process-pool work function: simulate a batch of cells in order.
 
+    A cell that raises stops the batch; the exception reaches the parent
+    tagged with the cell's ``batch_position`` (see :func:`cell_error`).
+
     Returns ``{"results", "events", "wall_seconds"}``: the in-order
     results, the telemetry events the batch published in the worker
     (probe snapshots of instrumented runs — buffered here, drained, and
@@ -96,12 +99,39 @@ def execute_batch(cells: List) -> Dict:
 
     start = perf_time()
     telemetry_events.worker_mode()
-    results = [execute_cell(cell) for cell in cells]
+    results = []
+    for position, cell in enumerate(cells):
+        try:
+            results.append(execute_cell(cell))
+        except Exception as exc:
+            # Survives the trip to the parent, which names the cell.
+            exc.batch_position = position
+            raise
     return {
         "results": results,
         "events": telemetry_events.drain(),
         "wall_seconds": perf_time() - start,
     }
+
+
+def cell_error(cell, exc: Exception) -> ExperimentError:
+    """An :class:`ExperimentError` naming the cell whose simulation raised.
+
+    Carries ``label`` and ``fingerprint`` attributes; raise it ``from exc``
+    so the original stays the ``__cause__``.
+    """
+    # Imported lazily: engine.py imports this module.
+    from repro.experiments.engine import cell_label, fingerprint_of
+
+    label = cell_label(cell)
+    fingerprint = fingerprint_of(cell)
+    error = ExperimentError(
+        f"cell {label} (fingerprint {fingerprint[:16]}) failed: "
+        f"{type(exc).__name__}: {exc}"
+    )
+    error.label = label
+    error.fingerprint = fingerprint
+    return error
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +297,15 @@ class SweepScheduler:
                 done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
                 for future in done:
                     batch = future_map[future]
-                    payload = future.result()
+                    try:
+                        payload = future.result()
+                    except Exception as exc:
+                        position = getattr(exc, "batch_position", None)
+                        if position is None:
+                            raise
+                        for other in future_map:  # unstarted batches
+                            other.cancel()
+                        raise cell_error(batch[position][1], exc) from exc
                     telemetry_replay(payload["events"])
                     wall = payload["wall_seconds"]
                     # Parent-observed latency minus worker wall time ≈
@@ -290,7 +328,11 @@ class SweepScheduler:
                 self.batches_dispatched += 1
                 start = perf_time()
                 for index, cell in batch:
-                    settle(index, cell, execute_cell(cell))
+                    try:
+                        result = execute_cell(cell)
+                    except Exception as exc:
+                        raise cell_error(cell, exc) from exc
+                    settle(index, cell, result)
                 telemetry_publish(
                     "batch-complete",
                     cells=len(batch),

@@ -47,7 +47,9 @@ class SmtProcessor(Processor):
     them with :func:`repro.utils.rng.derive_thread_seed` so mixes are
     reproducible).  Each thread needs its own :class:`Program` instance —
     behaviour state lives inside the program, and two walkers cannot share
-    one (build duplicates from the same spec for homogeneous mixes).
+    one.  Distinct ``(benchmark, seed)`` programs are distinct instances, so
+    the engine takes them from its per-process program memo; only a
+    program repeated inside one machine needs a second, private build.
     """
 
     def __init__(

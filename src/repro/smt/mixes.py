@@ -10,8 +10,8 @@ derived deterministically from the mix's base seed via
   program instances, as two copies of a program on a real machine would
   have different inputs, and
 * the single-threaded reference runs used by the weighted-speedup and
-  fairness metrics can regenerate exactly the program instance thread *i*
-  executed (same benchmark, same derived seed).
+  fairness metrics run exactly the program thread *i* executed (same
+  benchmark, same derived seed: :meth:`MixSpec.program_specs`).
 
 Mix naming: ``mix2-``/``mix4-`` prefix gives the thread count; the suffix
 names the behavioural theme (``branchy`` mixes the hardest-to-predict
@@ -26,6 +26,7 @@ from typing import Dict, List, Tuple
 from repro.errors import WorkloadError
 from repro.program.cfg import Program
 from repro.utils.rng import derive_thread_seed
+from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import benchmark_spec
 
 
@@ -49,13 +50,25 @@ class MixSpec:
         return [derive_thread_seed(base, thread_id)
                 for thread_id in range(len(self.benchmarks))]
 
+    def program_specs(self, base_seed: int = None) -> List[WorkloadSpec]:
+        """The workload spec thread *i* runs: its benchmark on its derived seed.
+
+        The one definition of "which program runs on thread *i*": the SMT
+        machine, its single-thread reference cells and
+        :meth:`build_programs` all read it.
+        """
+        return [
+            replace(benchmark_spec(benchmark), seed=seed)
+            for benchmark, seed in zip(self.benchmarks, self.thread_seeds(base_seed))
+        ]
+
     def build_programs(self, base_seed: int = None) -> List[Program]:
-        """Generate one program instance per thread (deterministic)."""
-        programs = []
-        for benchmark, seed in zip(self.benchmarks, self.thread_seeds(base_seed)):
-            spec = replace(benchmark_spec(benchmark), seed=seed)
-            programs.append(spec.build_program())
-        return programs
+        """Generate a private program instance per thread (deterministic).
+
+        For hand-built :class:`~repro.smt.core.SmtProcessor` instances; the
+        engine takes shared programs from its per-process memo instead.
+        """
+        return [spec.build_program() for spec in self.program_specs(base_seed)]
 
 
 _MIXES: Dict[str, MixSpec] = {}

@@ -22,9 +22,12 @@ from repro.experiments.campaign import campaign_cells, run_campaign
 from repro.experiments.engine import (
     ExecutionEngine,
     ResultCache,
+    SimCell,
     build_engine,
     cell_fingerprint,
     make_cell,
+    make_smt_cell,
+    make_trace_cell,
     result_from_dict,
     result_to_dict,
     simulate,
@@ -278,6 +281,54 @@ def test_make_cell_rejects_a_spec_the_controller_factory_rejects():
 
     with pytest.raises(ExperimentError, match=r"cell go/\('oracle', 'nonsense'\)"):
         make_cell("go", ("oracle", "nonsense"))
+
+
+def test_make_smt_cell_rejects_zero_instructions():
+    from repro.errors import ExperimentError
+
+    with pytest.raises(ExperimentError, match=r"cell mix2-branchy/.*instructions"):
+        make_smt_cell("mix2-branchy", instructions=0)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"policy": "nope"}, r"cell mix2-branchy/nope/partitioned: unknown fetch policy"),
+        ({"sharing": "weird"}, r"cell mix2-branchy/.*/weird: unknown sharing mode"),
+    ],
+)
+def test_make_smt_cell_rejects_an_unknown_policy_or_sharing_mode(overrides, message):
+    from repro.errors import ExperimentError
+
+    with pytest.raises(ExperimentError, match=message):
+        make_smt_cell("mix2-branchy", **overrides)
+
+
+def test_make_trace_cell_rejects_zero_instructions(tmp_path):
+    from repro.errors import ExperimentError
+    from repro.workloads.trace import record_benchmark_trace
+
+    path = str(tmp_path / "gzip.trace")
+    record_benchmark_trace("gzip", path, 200)
+    with pytest.raises(ExperimentError, match=r"cell trace:gzip/.*instructions"):
+        make_trace_cell(path, instructions=0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_cell_is_reported_with_its_label_and_fingerprint(jobs):
+    from repro.errors import ExperimentError
+
+    # Built directly: make_cell would reject the spec before any worker.
+    broken = SimCell(
+        benchmark="go", controller_spec=("oracle", "nonsense"),
+        config=table3_config(), instructions=_INSTRUCTIONS, warmup=_WARMUP,
+    )
+    engine = ExecutionEngine(jobs=jobs, batch_cells=1)
+    with pytest.raises(ExperimentError, match=r"cell go/oracle-nonsense") as info:
+        engine.run([_cell(controller_spec=("baseline",)), broken])
+    assert info.value.label == "go/oracle-nonsense"
+    assert info.value.fingerprint == cell_fingerprint(broken)
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_runner_memo_does_not_leak_custom_labels():
