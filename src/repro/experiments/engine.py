@@ -436,6 +436,8 @@ def simulate(cell: SimCell) -> SimulationResult:
         _publish_probe_snapshot("sim", cell.benchmark, cell, processor)
     power = processor.power
 
+    processor.release()
+
     total_energy = power.total_energy()
     wasted_fraction = (
         power.total_wasted_energy() / total_energy if total_energy else 0.0
@@ -568,7 +570,9 @@ def simulate_smt(cell: SmtCell) -> SmtResult:
     processor.run(cell.instructions, warmup_instructions=cell.warmup)
     if processor.probes is not None:
         _publish_probe_snapshot("smt", cell.mix, cell, processor)
-    return collect_smt_result(processor, cell.mix, cell.policy, cell.instructions)
+    result = collect_smt_result(processor, cell.mix, cell.policy, cell.instructions)
+    processor.release()
+    return result
 
 
 def _publish_probe_snapshot(kind: str, workload: str, cell, processor) -> None:

@@ -60,8 +60,13 @@ class Cache:
             raise ConfigurationError(f"{name}: set count must be a power of two")
         self._offset_bits = log2_exact(line_bytes)
         self._set_mask = bit_mask(log2_exact(self.num_sets))
-        # Per-set list of tags in LRU order (front = MRU).
-        self._sets = [[] for _ in range(self.num_sets)]
+        # Per-set tags in LRU order (front = MRU).  A set stays the shared
+        # empty tuple until its first fill makes it a list: a short run
+        # touches few of the thousands of sets, and allocating them all
+        # up front would dominate building a processor.  Readers
+        # (``probe``, the fetch stage's inlined MRU check) treat an empty
+        # tuple exactly as an empty list.
+        self._sets = [()] * self.num_sets
         self.stats = CacheStats()
 
     def probe(self, address: int) -> bool:
@@ -73,7 +78,8 @@ class Cache:
     def access(self, address: int) -> bool:
         """Access the cache; allocate on miss.  Returns True on a hit."""
         line = address >> self._offset_bits
-        tag_set = self._sets[line & self._set_mask]
+        index = line & self._set_mask
+        tag_set = self._sets[index]
         self.stats.accesses += 1
         # MRU hit: the overwhelmingly common case, no LRU reordering.
         if tag_set and tag_set[0] == line:
@@ -82,6 +88,9 @@ class Cache:
             position = tag_set.index(line)
         except ValueError:
             self.stats.misses += 1
+            if not tag_set:
+                self._sets[index] = [line]  # first fill of this set
+                return False
             tag_set.insert(0, line)
             if len(tag_set) > self.ways:
                 tag_set.pop()
@@ -94,11 +103,10 @@ class Cache:
     def invalidate_all(self) -> None:
         """Empty the cache (statistics are preserved).
 
-        Clears in place: the stage hot loops hold aliases of the set
-        array, which must stay valid across an invalidation.
+        Resets the entries in place: the stage hot loops hold aliases of
+        the set array, which must stay valid across an invalidation.
         """
-        for tag_set in self._sets:
-            tag_set.clear()
+        self._sets[:] = [()] * self.num_sets
 
     def line_address(self, address: int) -> int:
         """Return the line-aligned address containing ``address``."""

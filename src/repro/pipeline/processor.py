@@ -519,3 +519,17 @@ class Processor:
     def step(self) -> None:
         """Advance the machine by one cycle."""
         self._step()
+
+    def release(self) -> None:
+        """Unlink the kernel from its stages once a run's results are read.
+
+        The stages and the probe bus keep a reference back to the kernel,
+        so a finished machine is a reference cycle that waits for the
+        cyclic collector, and how soon that runs depends on how many
+        objects the process allocates.  Dropping the kernel's forward
+        links lets reference counting free the machine as soon as the
+        caller drops it.  The processor cannot step afterwards.
+        """
+        self.scheduler = None
+        self._step = None
+        self.probes = None

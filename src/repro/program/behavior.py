@@ -43,7 +43,13 @@ class BranchBehavior:
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Restore the initial state (used when a program is re-run)."""
+        """Restore the initial state (used when a program is re-run).
+
+        Every processor build resets every behaviour of its program, so
+        the stateful behaviours keep their stream's initial state from
+        construction and restore it, rather than deriving it again from
+        the seed.
+        """
         raise NotImplementedError
 
 
@@ -56,12 +62,13 @@ class BiasedBehavior(BranchBehavior):
         self.p_taken = p_taken
         self._seed = seed
         self._rng = XorShiftRNG(seed)
+        self._initial_state = self._rng.getstate()
 
     def next_outcome(self, global_history: int) -> bool:
         return self._rng.chance(self.p_taken)
 
     def reset(self) -> None:
-        self._rng = XorShiftRNG(self._seed)
+        self._rng.setstate(self._initial_state)
 
 
 class LoopBehavior(BranchBehavior):
@@ -81,6 +88,7 @@ class LoopBehavior(BranchBehavior):
         self.jitter = jitter
         self._seed = seed
         self._rng = XorShiftRNG(seed)
+        self._initial_state = self._rng.getstate()
         self._remaining = self._draw_trip()
 
     def _draw_trip(self) -> int:
@@ -98,7 +106,7 @@ class LoopBehavior(BranchBehavior):
         return False
 
     def reset(self) -> None:
-        self._rng = XorShiftRNG(self._seed)
+        self._rng.setstate(self._initial_state)
         self._remaining = self._draw_trip()
 
 
@@ -137,6 +145,7 @@ class CorrelatedBehavior(BranchBehavior):
         self.noise = noise
         self._seed = seed
         self._rng = XorShiftRNG(seed)
+        self._initial_state = self._rng.getstate()
 
     def next_outcome(self, global_history: int) -> bool:
         parity = bin(global_history & self.history_mask).count("1") & 1
@@ -146,4 +155,4 @@ class CorrelatedBehavior(BranchBehavior):
         return outcome
 
     def reset(self) -> None:
-        self._rng = XorShiftRNG(self._seed)
+        self._rng.setstate(self._initial_state)

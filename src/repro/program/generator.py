@@ -21,6 +21,7 @@ infinite cycle is main's outer loop, which is the intended steady state.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -35,7 +36,7 @@ from repro.program.behavior import (
     PatternBehavior,
 )
 from repro.program.cfg import BasicBlock, Program, TerminatorKind
-from repro.utils.rng import XorShiftRNG, derive_seed
+from repro.utils.rng import WeightedTable, XorShiftRNG, derive_seed
 
 
 @dataclass
@@ -149,27 +150,109 @@ class ProgramShape:
     mem_footprint_weights: Tuple[float, ...] = (0.40, 0.30, 0.20, 0.10)
 
     def validate(self) -> None:
-        """Raise ProgramError if the shape is internally inconsistent."""
+        """Raise ProgramError if the shape is internally inconsistent.
+
+        Every shape that passes can be generated: each range the
+        generator draws from is non-empty, each weighted mix has a
+        positive total and each sequence it chooses from is non-empty.
+        """
         if self.num_functions < 1:
             raise ProgramError("need at least one function")
         if self.blocks_per_function[0] < 2:
             raise ProgramError("functions need at least two blocks")
         if self.block_size[0] < 1:
             raise ProgramError("blocks need at least one instruction")
+        for name in ("blocks_per_function", "block_size", "loop_trip_range",
+                     "pattern_length"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ProgramError(f"{name}: empty range ({lo}, {hi})")
+        if self.loop_trip_range[0] < 1:
+            raise ProgramError("loop_trip_range: trip counts must be >= 1")
+        if self.pattern_length[0] < 1:
+            raise ProgramError("pattern_length: patterns need at least one outcome")
         if not 0 <= self.p_cond + self.p_call + self.p_jump <= 1.0:
             raise ProgramError("terminator probabilities must sum to <= 1")
         if not 0.0 <= self.loop_fraction <= 1.0:
             raise ProgramError("loop_fraction must be a probability")
+        if not 0.0 <= self.loop_jitter <= 1.0:
+            raise ProgramError("loop_jitter must be in [0, 1]")
+        for name in ("biased_strength", "bad_strength", "correlated_noise"):
+            lo, hi = getattr(self, name)
+            if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
+                raise ProgramError(f"{name} must lie within [0, 1]")
+        if self.correlated_history_bits < 1:
+            raise ProgramError("correlated_history_bits must be >= 1")
+        _check_weights("instruction-mix weights (w_alu..w_fp)", self.instruction_weights())
+        _check_weights("forward-behaviour weights (w_biased..w_bad)",
+                       self.forward_weights())
+        if len(self.mem_footprint_weights) != len(self.mem_footprints):
+            raise ProgramError(
+                f"mem_footprint_weights has {len(self.mem_footprint_weights)} "
+                f"entries for {len(self.mem_footprints)} mem_footprints"
+            )
+        _check_weights("mem_footprint_weights", self.mem_footprint_weights)
+        if self.mem_regions < 1:
+            raise ProgramError("mem_regions must be >= 1")
+        if not self.mem_strides:
+            raise ProgramError("mem_strides must not be empty")
+        if not self.hard_chain_strides:
+            raise ProgramError("hard_chain_strides must not be empty")
         if not 0.0 <= self.hard_branch_chain <= 1.0:
             raise ProgramError("hard_branch_chain must be a probability")
         if self.hard_chain_footprint & (self.hard_chain_footprint - 1):
             raise ProgramError("hard_chain_footprint must be a power of two")
         if self.hard_chain_registers < 1:
             raise ProgramError("need at least one condition-chain register")
+        if NUM_ARCH_REGS - 2 - self.hard_chain_registers < FIRST_SCRATCH_REG:
+            raise ProgramError("hard_chain_registers leaves no destination registers")
+
+    def instruction_weights(self) -> Tuple[float, ...]:
+        """Weights of the body-instruction kinds, in ``_BODY_KINDS`` order."""
+        return (self.w_alu, self.w_mul, self.w_load, self.w_store, self.w_fp)
+
+    def forward_weights(self) -> Tuple[float, ...]:
+        """Weights of the forward-branch behaviours, in ``_FORWARD_KINDS`` order."""
+        return (self.w_biased, self.w_pattern, self.w_correlated, self.w_random,
+                self.w_bad)
+
+
+def _check_weights(name: str, weights: Tuple[float, ...]) -> None:
+    if any(weight < 0 for weight in weights):
+        raise ProgramError(f"{name} must be non-negative")
+    if not float(sum(weights)) > 0.0:
+        raise ProgramError(f"{name} must sum to a positive value")
+
+
+# The generator's fixed vocabularies, in draw order: a choice over one of
+# these tuples indexes it with the drawn value, so reordering one changes
+# every program.
+_BODY_KINDS = ("alu", "mul", "load", "store", "fp")
+_FORWARD_KINDS = ("biased", "pattern", "correlated", "random", "bad")
+_ALU_OPCODES = (
+    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHIFT,
+    Opcode.CMP, Opcode.MOV,
+)
+_LAST_REG = NUM_ARCH_REGS - 1
+_TERMINATOR_OPCODES = {
+    TerminatorKind.COND: Opcode.BR_COND,
+    TerminatorKind.JUMP: Opcode.BR_UNCOND,
+    TerminatorKind.CALL: Opcode.CALL,
+    TerminatorKind.RET: Opcode.RET,
+}
 
 
 class ProgramGenerator:
-    """Builds a finalized Program from a ProgramShape and a seed."""
+    """Builds a finalized Program from a ProgramShape and a seed.
+
+    Every field of a program comes from one of two streams, ``_rng`` (the
+    main stream: structure, behaviours, body instructions) and
+    ``_chain_rng`` (the side stream of the chain post-passes).  The order
+    of the draws on each stream is the contract — the calibrated suite is
+    defined by it, and ``tests/test_program_goldens.py`` pins the programs
+    it produces — so a speed-up may restructure the code that makes the
+    draws but never add, drop or reorder one.
+    """
 
     def __init__(self, shape: ProgramShape, seed: int, name: str = "synthetic") -> None:
         shape.validate()
@@ -185,6 +268,12 @@ class ProgramGenerator:
         # Blocks whose conditional branch is mispredict-prone and therefore
         # receives a slow condition chain (see _install_condition_chain).
         self._hard_blocks: set = set()
+        # The weighted choices, each precomputed once for every draw.
+        self._kind_table = WeightedTable(_BODY_KINDS, shape.instruction_weights())
+        self._forward_table = WeightedTable(_FORWARD_KINDS, shape.forward_weights())
+        self._footprint_table = WeightedTable(
+            shape.mem_footprints, shape.mem_footprint_weights
+        )
 
     def generate(self) -> Program:
         """Generate, finalize and return the program."""
@@ -255,11 +344,7 @@ class ProgramGenerator:
             return self._make_cond_block(function_id, position, block_id, block_ids)
         roll -= shape.p_cond
 
-        callable_functions = [
-            entry
-            for target_id, entry in enumerate(function_entries)
-            if target_id > function_id
-        ]
+        callable_functions = function_entries[function_id + 1:]
         if roll < shape.p_call and callable_functions:
             target = self._rng.choice(callable_functions)
             return BasicBlock(
@@ -331,11 +416,7 @@ class ProgramGenerator:
 
     def _make_forward_behavior(self):
         shape = self.shape
-        kind = self._rng.weighted_choice(
-            ("biased", "pattern", "correlated", "random", "bad"),
-            (shape.w_biased, shape.w_pattern, shape.w_correlated, shape.w_random,
-             shape.w_bad),
-        )
+        kind = self._rng.table_choice(self._forward_table)
         seed = self._next_behavior_seed()
         if kind in ("biased", "bad"):
             lo, hi = shape.biased_strength if kind == "biased" else shape.bad_strength
@@ -365,17 +446,96 @@ class ProgramGenerator:
         return derive_seed(self.seed, "behavior", self._behavior_counter)
 
     def _fill_block(self, block: BasicBlock, recent_dests: List[int]) -> None:
-        """Populate a block with straight-line code plus its terminator."""
+        """Populate a block with straight-line code plus its terminator.
+
+        The body loop is the generator's hot path, so it is one loop with
+        the RNG methods bound to locals.  Per instruction it draws, in
+        order: the kind (a table draw); the opcode (ALU choice, or the
+        MUL/DIV and FADD/FMUL coin); the destination (all kinds but
+        stores); the ALU source count; the sources, each a locality coin
+        and a recent-register choice or a uniform register; the load-chain
+        coin (side stream, loads after the function's first); and for
+        memory ops the region, stride and footprint.  The destination
+        window ``recent_dests`` keeps the last ``dep_window`` destinations.
+        """
         shape = self.shape
-        body_size = self._rng.randint(*shape.block_size)
-        for _ in range(body_size):
-            block.instructions.append(self._make_body_instruction(block, recent_dests))
-        terminator_opcode = {
-            TerminatorKind.COND: Opcode.BR_COND,
-            TerminatorKind.JUMP: Opcode.BR_UNCOND,
-            TerminatorKind.CALL: Opcode.CALL,
-            TerminatorKind.RET: Opcode.RET,
-        }.get(block.kind)
+        rng = self._rng
+        random, randint, choice, chance = rng.random, rng.randint, rng.choice, rng.chance
+        chain_chance = self._chain_rng.chance
+        kind_items = self._kind_table.items
+        kind_cumulative = self._kind_table.cumulative
+        kind_total = self._kind_table.total
+        footprint_items = self._footprint_table.items
+        footprint_cumulative = self._footprint_table.cumulative
+        footprint_total = self._footprint_table.total
+        locality = shape.dep_locality
+        window = shape.dep_window
+        dest_hi = NUM_ARCH_REGS - 2 - shape.hard_chain_registers
+        regions_hi = shape.mem_regions - 1
+        strides = shape.mem_strides
+        load_chain = shape.load_chain_fraction
+        last_load_dest = self._last_load_dest
+        recent = recent_dests
+        append = block.instructions.append
+
+        for _ in range(randint(*shape.block_size)):
+            # Table draws are ``XorShiftRNG.table_choice``, inlined.
+            kind = kind_items[bisect_right(kind_cumulative, random() * kind_total)]
+            if kind == "alu":
+                opcode = choice(_ALU_OPCODES)
+            elif kind == "load":
+                opcode = Opcode.LOAD
+            elif kind == "store":
+                opcode = Opcode.STORE
+            elif kind == "mul":
+                opcode = Opcode.MUL if chance(0.9) else Opcode.DIV
+            else:
+                opcode = Opcode.FADD if chance(0.6) else Opcode.FMUL
+            if opcode is Opcode.STORE:
+                dest = None
+                two_sources = True
+            else:
+                # The top registers are reserved: NUM_ARCH_REGS - 1 carries
+                # the serial dependence chain and the next
+                # ``hard_chain_registers`` the pointer-chase condition
+                # chains; ordinary destinations must not clobber them.
+                dest = randint(FIRST_SCRATCH_REG, dest_hi)
+                recent.append(dest)
+                if len(recent) > window:
+                    del recent[0]
+                if kind == "alu":
+                    two_sources = randint(1, 2) == 2
+                else:
+                    two_sources = opcode is not Opcode.LOAD
+            first = (choice(recent) if recent and chance(locality)
+                     else randint(FIRST_SCRATCH_REG, _LAST_REG))
+            if two_sources:
+                second = (choice(recent) if recent and chance(locality)
+                          else randint(FIRST_SCRATCH_REG, _LAST_REG))
+                sources = (first, second)
+            else:
+                sources = (first,)
+            if opcode is Opcode.LOAD:
+                if last_load_dest is not None and chain_chance(load_chain):
+                    sources = (last_load_dest,)
+                last_load_dest = dest
+            elif opcode is not Opcode.STORE:
+                append(StaticInstruction(0, opcode, dest, sources))
+                continue
+            append(StaticInstruction(
+                0,
+                opcode,
+                dest=dest,
+                sources=sources,
+                mem_region=randint(0, regions_hi),
+                mem_stride=choice(strides),
+                mem_footprint=footprint_items[
+                    bisect_right(footprint_cumulative, random() * footprint_total)
+                ],
+            ))
+        self._last_load_dest = last_load_dest
+
+        terminator_opcode = _TERMINATOR_OPCODES.get(block.kind)
         if terminator_opcode is not None:
             sources: Tuple[int, ...] = ()
             if terminator_opcode is Opcode.BR_COND:
@@ -432,63 +592,6 @@ class ProgramGenerator:
                 if instruction.opcode is Opcode.LOAD and instruction.dest is not None:
                     return instruction.dest
         return self._pick_source(recent_dests)
-
-    def _make_body_instruction(
-        self, block: BasicBlock, recent_dests: List[int]
-    ) -> StaticInstruction:
-        shape = self.shape
-        kind = self._rng.weighted_choice(
-            ("alu", "mul", "load", "store", "fp"),
-            (shape.w_alu, shape.w_mul, shape.w_load, shape.w_store, shape.w_fp),
-        )
-        if kind == "alu":
-            opcode = self._rng.choice(
-                (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHIFT,
-                 Opcode.CMP, Opcode.MOV)
-            )
-            dest = self._pick_dest(recent_dests)
-            sources = tuple(
-                self._pick_source(recent_dests) for _ in range(self._rng.randint(1, 2))
-            )
-            return StaticInstruction(0, opcode, dest=dest, sources=sources)
-        if kind == "mul":
-            opcode = Opcode.MUL if self._rng.chance(0.9) else Opcode.DIV
-            dest = self._pick_dest(recent_dests)
-            sources = (self._pick_source(recent_dests), self._pick_source(recent_dests))
-            return StaticInstruction(0, opcode, dest=dest, sources=sources)
-        if kind == "load":
-            dest = self._pick_dest(recent_dests)
-            sources = (self._pick_source(recent_dests),)
-            if (
-                self._last_load_dest is not None
-                and self._chain_rng.chance(shape.load_chain_fraction)
-            ):
-                sources = (self._last_load_dest,)
-            self._last_load_dest = dest
-            return StaticInstruction(
-                0,
-                Opcode.LOAD,
-                dest=dest,
-                sources=sources,
-                mem_region=self._rng.randint(0, shape.mem_regions - 1),
-                mem_stride=self._rng.choice(shape.mem_strides),
-                mem_footprint=self._pick_footprint(),
-            )
-        if kind == "store":
-            sources = (self._pick_source(recent_dests), self._pick_source(recent_dests))
-            return StaticInstruction(
-                0,
-                Opcode.STORE,
-                dest=None,
-                sources=sources,
-                mem_region=self._rng.randint(0, shape.mem_regions - 1),
-                mem_stride=self._rng.choice(shape.mem_strides),
-                mem_footprint=self._pick_footprint(),
-            )
-        opcode = Opcode.FADD if self._rng.chance(0.6) else Opcode.FMUL
-        dest = self._pick_dest(recent_dests)
-        sources = (self._pick_source(recent_dests), self._pick_source(recent_dests))
-        return StaticInstruction(0, opcode, dest=dest, sources=sources)
 
     _SERIAL_REG = NUM_ARCH_REGS - 1
 
@@ -558,38 +661,26 @@ class ProgramGenerator:
         fraction = self.shape.serial_chain_fraction
         if fraction <= 0.0:
             return
-        for position, instr in enumerate(block.instructions):
-            if instr.is_branch or instr.dest is None:
+        chance = self._chain_rng.chance
+        restart = self.shape.serial_chain_restart
+        serial = self._SERIAL_REG
+        for instr in block.instructions:
+            dest = instr.dest
+            if instr.is_branch or dest is None:
                 continue
-            if instr.sources and instr.sources[0] == instr.dest == self._SERIAL_REG:
+            sources = instr.sources
+            if sources and sources[0] == dest == serial:
                 continue  # the induction head keeps its private chain
-            if instr.opcode is Opcode.STORE or instr.op_class is OpClass.FP_ALU:
+            if instr.is_store or instr.op_class is OpClass.FP_ALU:
                 continue
-            if not self._chain_rng.chance(fraction):
+            if not chance(fraction):
                 continue
-            instr.dest = self._SERIAL_REG
-            if self._chain_rng.chance(self.shape.serial_chain_restart):
+            instr.dest = serial
+            if chance(restart):
                 continue  # restart: write the chain register, read elsewhere
-            instr.sources = (self._SERIAL_REG,) + tuple(instr.sources[1:])
-
-    def _pick_footprint(self) -> int:
-        shape = self.shape
-        return self._rng.weighted_choice(shape.mem_footprints, shape.mem_footprint_weights)
-
-    def _pick_dest(self, recent_dests: List[int]) -> int:
-        # The top registers are reserved: NUM_ARCH_REGS - 1 carries the
-        # serial dependence chain and the next ``hard_chain_registers`` the
-        # pointer-chase condition chains; ordinary destinations must not
-        # break those chains by clobbering them.
-        dest = self._rng.randint(
-            FIRST_SCRATCH_REG, NUM_ARCH_REGS - 2 - self.shape.hard_chain_registers
-        )
-        recent_dests.append(dest)
-        if len(recent_dests) > self.shape.dep_window:
-            del recent_dests[0]
-        return dest
+            instr.sources = (serial,) + tuple(sources[1:])
 
     def _pick_source(self, recent_dests: List[int]) -> int:
         if recent_dests and self._rng.chance(self.shape.dep_locality):
             return self._rng.choice(recent_dests)
-        return self._rng.randint(FIRST_SCRATCH_REG, NUM_ARCH_REGS - 1)
+        return self._rng.randint(FIRST_SCRATCH_REG, _LAST_REG)

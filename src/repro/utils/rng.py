@@ -12,6 +12,8 @@ good statistical quality for simulation purposes, and trivially portable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
@@ -148,6 +150,15 @@ class XorShiftRNG:
                 return item
         return items[-1]
 
+    def table_choice(self, table: "WeightedTable"):
+        """:meth:`weighted_choice` over a precomputed :class:`WeightedTable`.
+
+        Same single draw, same target arithmetic and the same item for
+        every draw; the per-call sum and cumulative scan become one
+        ``bisect_right`` over the table's cumulative weights.
+        """
+        return table.items[bisect_right(table.cumulative, self.random() * table.total)]
+
     def shuffle(self, items: list) -> None:
         """Shuffle a list in place (Fisher-Yates)."""
         for i in range(len(items) - 1, 0, -1):
@@ -163,6 +174,37 @@ class XorShiftRNG:
         if not 0 < state <= _MASK64:
             raise ValueError("invalid xorshift state")
         self._state = state
+
+
+class WeightedTable:
+    """A weighted choice precomputed once for many draws.
+
+    ``total`` is ``float(sum(weights))`` and ``cumulative`` the running
+    left-to-right sums from ``0.0`` — exactly the values
+    :meth:`XorShiftRNG.weighted_choice` recomputes on every call — so
+    ``items[bisect_right(cumulative, u * total)]`` picks the item whose
+    running sum first exceeds the target, as the linear scan does.
+    ``items`` carries the last item once more: a target at or past the
+    final running sum (a rounding gap between ``sum`` and the running
+    adds) falls back to it, like the scan's fall-through.
+    """
+
+    __slots__ = ("items", "cumulative", "total")
+
+    def __init__(self, items, weights) -> None:
+        if len(items) != len(weights):
+            raise ValueError("items and weights must have the same length")
+        total = float(sum(weights))
+        if total <= 0.0:
+            raise ValueError("weights must sum to a positive value")
+        cumulative = []
+        running = 0.0
+        for weight in weights:
+            running += weight
+            cumulative.append(running)
+        self.items = tuple(items) + (items[-1],)
+        self.cumulative = cumulative
+        self.total = total
 
 
 def stateless_hash_step(state: int, value: int) -> int:

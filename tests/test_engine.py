@@ -387,3 +387,41 @@ def test_warm_cache_campaign_simulates_nothing(
     assert warm.executed == 0
     assert warm.cache.hits == 4
     assert second.to_json() == first.to_json() == serial_campaign.to_json()
+
+
+# --- machine lifetime ----------------------------------------------------
+
+@pytest.mark.parametrize("smt", [False, True], ids=["single", "smt"])
+def test_simulate_frees_its_machine_without_the_cyclic_collector(monkeypatch, smt):
+    # The stages refer back to the kernel; unless simulate() releases the
+    # machine, it lingers until the cyclic collector runs, and peak RSS
+    # then follows the collector's schedule instead of the work.
+    import gc
+    import weakref
+
+    from repro.experiments import engine
+
+    builder_name = "build_smt_processor" if smt else "build_processor"
+    real_builder = getattr(engine, builder_name)
+    machines = []
+
+    def recording_builder(cell):
+        processor = real_builder(cell)
+        machines.append(weakref.ref(processor))
+        return processor
+
+    monkeypatch.setattr(engine, builder_name, recording_builder)
+    if smt:
+        cell = make_smt_cell("mix2-branchy", instructions=300, warmup=100)
+        run = engine.simulate_smt
+    else:
+        cell = make_cell("go", instructions=300, warmup=100)
+        run = simulate
+    gc.collect()
+    gc.disable()
+    try:
+        run(cell)
+        assert len(machines) == 1
+        assert machines[0]() is None
+    finally:
+        gc.enable()

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.tlb import TLB
+from repro.utils.rng import XorShiftRNG
 
 
 # --- cache ------------------------------------------------------------------
@@ -69,6 +70,85 @@ def test_cache_stats_reset():
     cache.stats.reset()
     assert cache.stats.accesses == 0
     assert cache.stats.miss_rate == 0.0
+
+
+class _EagerLRU:
+    """Reference model: every set a list from the start, plain LRU."""
+
+    def __init__(self, num_sets, ways, line_bytes):
+        self.sets = [[] for _ in range(num_sets)]
+        self.ways = ways
+        self.line_bytes = line_bytes
+        self.accesses = self.misses = self.evictions = 0
+
+    def _set(self, address):
+        line = address // self.line_bytes
+        return line, self.sets[line % len(self.sets)]
+
+    def probe(self, address):
+        line, tags = self._set(address)
+        return line in tags
+
+    def access(self, address):
+        line, tags = self._set(address)
+        self.accesses += 1
+        if line in tags:
+            tags.remove(line)
+            tags.insert(0, line)
+            return True
+        self.misses += 1
+        tags.insert(0, line)
+        if len(tags) > self.ways:
+            tags.pop()
+            self.evictions += 1
+        return False
+
+
+def _address_streams():
+    rng = XorShiftRNG(2024)
+    uniform = [rng.randint(0, 1 << 20) for _ in range(3000)]
+    # Set conflicts: a handful of sets, each hit by more tags than ways,
+    # with re-references so LRU order (not just residency) matters.
+    way_stride = 32 * 64  # line bytes * sets of the 4-way 8 KB cache below
+    conflict = [
+        rng.randint(0, 3) * 32 + rng.randint(0, 6) * way_stride + rng.randint(0, 31)
+        for _ in range(3000)
+    ]
+    return {"uniform": uniform, "conflict": conflict}
+
+
+@pytest.mark.parametrize("stream", ["uniform", "conflict"])
+def test_cache_matches_an_eager_lru_reference(stream):
+    cache = Cache("t", 8 * 1024, 4, 32)
+    reference = _EagerLRU(cache.num_sets, 4, 32)
+    for address in _address_streams()[stream]:
+        assert cache.probe(address) == reference.probe(address)
+        assert cache.access(address) == reference.access(address)
+    assert (cache.stats.accesses, cache.stats.misses, cache.stats.evictions) == (
+        reference.accesses, reference.misses, reference.evictions
+    )
+    assert reference.evictions > 0
+
+
+def test_cache_probe_on_untouched_set_misses():
+    cache = Cache("t", 8 * 1024, 4, 32)
+    assert not cache.probe(0x40)
+    cache.access(0x40)
+    assert not cache.probe(0x60)  # the neighbouring set is still untouched
+    assert cache.probe(0x40)
+
+
+def test_cache_invalidate_all_keeps_the_set_array():
+    cache = Cache("t", 8 * 1024, 4, 32)
+    sets = cache._sets
+    for address in range(0, 4096, 32):
+        cache.access(address)
+    cache.invalidate_all()
+    assert cache._sets is sets  # aliases held by the fetch stage stay valid
+    misses = cache.stats.misses
+    assert not cache.access(0)
+    assert cache.stats.misses == misses + 1
+    assert cache.access(0)
 
 
 # --- TLB --------------------------------------------------------------------

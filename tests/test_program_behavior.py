@@ -106,3 +106,25 @@ def test_correlated_validation():
         CorrelatedBehavior(0, noise=0.1, seed=1)
     with pytest.raises(ProgramError):
         CorrelatedBehavior(1, noise=1.5, seed=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BiasedBehavior(0.6, seed=11),
+    lambda: LoopBehavior(mean_trip=5, seed=12),
+    lambda: LoopBehavior(mean_trip=9, seed=13, jitter=0.5),
+    lambda: PatternBehavior([True, False, False, True, True]),
+    lambda: CorrelatedBehavior(0b1011, noise=0.3, seed=14),
+], ids=["biased", "loop", "jittered-loop", "pattern", "correlated"])
+@pytest.mark.parametrize("before", [0, 1, 37])
+def test_reset_replays_a_fresh_instance(make, before):
+    # reset() restores a stored initial state; after any number of draws
+    # the stream must restart exactly where a fresh instance starts.
+    history = 0b110100101
+    behavior = make()
+    for step in range(before):
+        behavior.next_outcome(history ^ step)
+    behavior.reset()
+    fresh = make()
+    replayed = [behavior.next_outcome(history ^ step) for step in range(60)]
+    expected = [fresh.next_outcome(history ^ step) for step in range(60)]
+    assert replayed == expected

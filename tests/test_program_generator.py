@@ -106,6 +106,45 @@ def test_shape_validation():
         _generate(p_cond=0.9, p_call=0.3, p_jump=0.3)
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"block_size": (8, 4)}, "block_size"),
+    ({"blocks_per_function": (9, 3)}, "blocks_per_function"),
+    ({"loop_trip_range": (40, 4)}, "loop_trip_range"),
+    ({"loop_trip_range": (0, 4)}, "loop_trip_range"),
+    ({"pattern_length": (5, 2)}, "pattern_length"),
+    ({"mem_footprint_weights": (0.5, 0.5)}, "mem_footprint_weights"),
+    ({"mem_footprint_weights": (0.0, 0.0, 0.0, 0.0)}, "mem_footprint_weights"),
+    ({"w_alu": 0.0, "w_mul": 0.0, "w_load": 0.0, "w_store": 0.0, "w_fp": 0.0},
+     "instruction-mix"),
+    ({"w_load": -0.1}, "instruction-mix"),
+    ({"w_biased": 0.0, "w_pattern": 0.0, "w_correlated": 0.0, "w_random": 0.0,
+      "w_bad": 0.0}, "forward-behaviour"),
+    ({"mem_strides": ()}, "mem_strides"),
+    ({"hard_chain_strides": ()}, "hard_chain_strides"),
+    ({"correlated_history_bits": 0}, "correlated_history_bits"),
+    ({"mem_regions": 0}, "mem_regions"),
+    ({"loop_jitter": 1.5}, "loop_jitter"),
+    ({"bad_strength": (0.5, 1.2)}, "bad_strength"),
+    ({"hard_chain_registers": 61}, "hard_chain_registers"),
+])
+def test_validate_rejects_shapes_that_cannot_be_generated(overrides, field):
+    # Each shape used to pass validate() and then fail mid-generation with
+    # a bare ValueError from the RNG; validate() must name the field.
+    shape = ProgramShape(**overrides)
+    with pytest.raises(ProgramError, match=field):
+        shape.validate()
+    with pytest.raises(ProgramError, match=field):
+        ProgramGenerator(shape, seed=42)
+
+
+def test_every_registered_shape_validates():
+    from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
+
+    ProgramShape().validate()
+    for name in BENCHMARK_NAMES:
+        benchmark_spec(name).shape.validate()
+
+
 def test_block_sizes_within_shape_bounds():
     program = _generate(block_size=(3, 5))
     for block in program.blocks:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.utils.rng import (
+    WeightedTable,
     XorShiftRNG,
     derive_seed,
     derive_thread_seed,
@@ -118,6 +119,38 @@ def test_weighted_choice_validation():
         rng.weighted_choice(("a",), (1.0, 2.0))
     with pytest.raises(ValueError):
         rng.weighted_choice(("a", "b"), (0.0, 0.0))
+
+
+def _weight_vectors():
+    rng = XorShiftRNG(31)
+    vectors = [(1.0,), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0, 2.5, 0.0), (3, 1, 0, 2)]
+    for _ in range(40):
+        size = rng.randint(1, 7)
+        weights = [
+            0.0 if rng.chance(0.3) else rng.random() * rng.choice((1e-3, 1.0, 50.0))
+            for _ in range(size)
+        ]
+        if not any(weights):
+            weights[rng.randint(0, size - 1)] = rng.random() + 1e-9
+        vectors.append(tuple(weights))
+    return vectors
+
+
+@pytest.mark.parametrize("weights", _weight_vectors())
+def test_table_choice_matches_weighted_choice_draw_for_draw(weights):
+    items = tuple(f"item{i}" for i in range(len(weights)))
+    table = WeightedTable(items, weights)
+    twin_a, twin_b = XorShiftRNG(977), XorShiftRNG(977)
+    for _ in range(500):
+        assert twin_a.table_choice(table) == twin_b.weighted_choice(items, weights)
+    assert twin_a.getstate() == twin_b.getstate()
+
+
+def test_weighted_table_validation():
+    with pytest.raises(ValueError):
+        WeightedTable(("a",), (1.0, 2.0))
+    with pytest.raises(ValueError):
+        WeightedTable(("a", "b"), (0.0, 0.0))
 
 
 def test_shuffle_is_permutation():

@@ -29,6 +29,13 @@ counters: the skipped-cycle fraction and a power-of-two window-length
 histogram::
 
     PYTHONPATH=src python tools/profile_run.py --skip-stats --experiment C2
+
+``--build`` profiles the cold path instead of a run: generating the
+program of ``--benchmark`` at ``--seed`` plus ``build_processor``, with
+nothing simulated.  The default seed is a held-out one, so the program
+memo starts cold and the generator shows up in full::
+
+    PYTHONPATH=src python tools/profile_run.py --build --benchmark gcc
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.engine import (
+    build_processor,
     default_instructions,
     default_warmup,
     make_cell,
@@ -55,6 +63,9 @@ from repro.workloads.suite import BENCHMARK_NAMES
 
 SORT_KEYS = ("cumulative", "cumtime", "tottime", "ncalls")
 SUPPLY_CHOICES = ("compiled", "live", "trace")
+# --build's default program seed: no benchmark is calibrated at it, so the
+# profiled build generates its program from scratch.
+BUILD_SEED = 4242
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -74,6 +85,16 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mix", default=None, choices=MIX_NAMES,
         help="profile an SMT mix instead of a single-thread benchmark",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="program seed of a single-thread benchmark (default: its "
+        f"calibrated seed; with --build the held-out seed {BUILD_SEED})",
+    )
+    parser.add_argument(
+        "--build", action="store_true",
+        help="profile program generation plus processor construction for "
+        "--benchmark at --seed, without running it",
     )
     parser.add_argument(
         "--supply", default="compiled", choices=SUPPLY_CHOICES,
@@ -236,7 +257,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         # skip counters) attaches only when the config sees telemetry on.
         os.environ["REPRO_TELEMETRY"] = "1"
 
-    if options.mix:
+    if options.build:
+        if options.mix or options.trace or options.stage_timers or options.skip_stats:
+            raise SystemExit(
+                "--build profiles one single-thread build; it does not combine "
+                "with --mix, --trace, --stage-timers or --skip-stats"
+            )
+        seed = BUILD_SEED if options.seed is None else options.seed
+        cell = make_cell(
+            options.benchmark,
+            controller_spec=_controller_spec(options.experiment),
+            seed=seed,
+            supply=options.supply,
+        )
+        target = lambda: build_processor(cell)  # noqa: E731
+        label = f"build of {cell.benchmark} at seed {seed} ({options.supply} supply)"
+    elif options.mix:
         if options.supply != "compiled" or options.trace:
             raise SystemExit(
                 "--supply/--trace select single-thread supplies; they do "
@@ -265,6 +301,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             controller_spec=_controller_spec(options.experiment),
             instructions=options.instructions,
             warmup=options.warmup,
+            seed=options.seed,
             supply=options.supply,
         )
         target = lambda: simulate(cell)  # noqa: E731
@@ -277,22 +314,29 @@ def main(argv: Optional[List[str]] = None) -> int:
             skip_stats=options.skip_stats,
         )
 
-    print(
-        f"profiling {label}: {cell.instructions} instructions "
-        f"(+{cell.warmup} warm-up)"
-    )
+    if options.build:
+        print(f"profiling {label}: program generation + processor construction")
+    else:
+        print(
+            f"profiling {label}: {cell.instructions} instructions "
+            f"(+{cell.warmup} warm-up)"
+        )
     profile = cProfile.Profile()
     profile.enable()
     result = target()
     profile.disable()
 
-    committed = getattr(result, "instructions", None)
-    if committed is None:  # SmtResult carries per-thread dicts instead
-        committed = sum(thread["committed"] for thread in result.threads)
     stats = pstats.Stats(profile, stream=sys.stdout)
     wall = stats.total_tt
-    print(f"committed {committed} instructions in {wall:.2f}s "
-          f"({committed / wall:,.0f} instr/s)\n")
+    if options.build:
+        committed = None
+        print(f"built in {wall:.3f}s\n")
+    else:
+        committed = getattr(result, "instructions", None)
+        if committed is None:  # SmtResult carries per-thread dicts instead
+            committed = sum(thread["committed"] for thread in result.threads)
+        print(f"committed {committed} instructions in {wall:.2f}s "
+              f"({committed / wall:,.0f} instr/s)\n")
     stats.strip_dirs().sort_stats(options.sort).print_stats(options.top)
     if options.save:
         stats.dump_stats(options.save)
@@ -307,7 +351,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def hotspot_export(
-    stats: pstats.Stats, top: int, label: str, committed: int, wall: float
+    stats: pstats.Stats, top: int, label: str, committed: Optional[int], wall: float
 ) -> dict:
     """The ``--json`` payload: the top leaves of the profile by self time.
 
